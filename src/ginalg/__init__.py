@@ -11,6 +11,7 @@ from .forms import (
     REVLEX,
     CoordinateChange,
     Form,
+    InvariantError,
     ParseError,
     apply_change,
     compare_monomials,

@@ -27,6 +27,7 @@ from .factors import (
 from .forms import (
     REVLEX,
     Form,
+    InvariantError,
     ParseError,
     format_form,
     normalize_order_name,
@@ -419,6 +420,9 @@ def run(argv) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"assertion failure: {exc}", file=sys.stderr)
+        return EXIT_REFUTED
 
 
 def main() -> None:

@@ -19,7 +19,9 @@ from .forms import (
     REVLEX,
     Exponent,
     Form,
+    InvariantError,
     format_form,
+    integer_row,
     monomials_of_degree,
     normalize_form,
     try_divide,
@@ -107,14 +109,16 @@ def _shift(p: list, k: int, lev: int) -> list:
 
 
 def _div_coeff_exact(p, q, lev: int):
-    """Exact division, asserting exactness; q is level-lev like p."""
+    """Exact division, InvariantError when inexact; q is level-lev like p."""
     if lev == 0:
-        assert q != 0 and p % q == 0, "inexact integer division"
+        if q == 0 or p % q:
+            raise InvariantError("inexact integer division")
         return p // q
     if not p:
         return []
     n, m = len(p) - 1, len(q) - 1
-    assert n >= m, "inexact polynomial division"
+    if n < m:
+        raise InvariantError("inexact polynomial division")
     quotient = [_zero(lev - 1)] * (n - m + 1)
     rest = list(p)
     for k in range(n - m, -1, -1):
@@ -123,7 +127,8 @@ def _div_coeff_exact(p, q, lev: int):
             c = _div_coeff_exact(rest[-1], q[-1], lev - 1)
             quotient[k] = c
             rest = _sub(rest, _mul_coeff(_shift(q, k, lev), c, lev), lev)
-    assert _is_zero(_trim(rest, lev), lev), "inexact polynomial division"
+    if not _is_zero(_trim(rest, lev), lev):
+        raise InvariantError("inexact polynomial division")
     return _trim(quotient, lev)
 
 
@@ -179,13 +184,6 @@ def _gcd_rec(p, q, lev: int):
     return _mul_coeff(_primitive(a, lev), _gcd_rec(cp, cq, lev - 1), lev)
 
 
-def _integer_terms(f: Form) -> dict[Exponent, int]:
-    scale = 1
-    for coeff in f.terms.values():
-        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
-    return {e: int(c * scale) for e, c in f.terms.items()}
-
-
 def _build_rec(items: list[tuple[tuple[int, ...], int]], depth: int):
     if depth == 0:
         return sum(c for _, c in items)
@@ -228,8 +226,8 @@ def gcd_forms(f: Form, g: Form) -> Form:
     main = min(shared)
     var_order = [main] + sorted((f.variables_present() | g.variables_present()) - {main})
     levels = len(var_order)
-    fi = [(tuple(e[v] for v in var_order), c) for e, c in _integer_terms(f).items()]
-    gi = [(tuple(e[v] for v in var_order), c) for e, c in _integer_terms(g).items()]
+    fi = [(tuple(e[v] for v in var_order), c) for e, c in integer_row(f)[0].items()]
+    gi = [(tuple(e[v] for v in var_order), c) for e, c in integer_row(g)[0].items()]
     h = _gcd_rec(_build_rec(fi, levels), _build_rec(gi, levels), levels)
     terms: dict[Exponent, Fraction] = {}
     for packed, value in _rec_terms(h, levels):

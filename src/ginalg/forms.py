@@ -4,6 +4,11 @@ Forms are sparse term maps keyed by exponent vectors, with Fraction
 coefficients that stay in lowest terms with positive denominator.  All
 values are immutable after construction; every operation is a pure
 function of its inputs.
+
+Coordinate changes and restrictions run on primitive integer rows (see
+`sym_power`): the substitution is scaled to integers, every monomial's
+image is built once per call, and Fractions appear only in the Form
+returned.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ _ORDER_ALIASES = {
     "mixed": MIXED,
     "mixed_last_revlex": MIXED,
 }
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a defect, not bad input."""
 
 
 def normalize_order_name(name: str) -> str:
@@ -270,15 +279,6 @@ class CoordinateChange:
     def identity(cls, num_vars: int) -> CoordinateChange:
         return cls([[1 if i == j else 0 for j in range(num_vars)] for i in range(num_vars)])
 
-    def variable_image(self, index: int) -> Form:
-        """Image of x_index (1-based) as a linear form."""
-        row = self.matrix[index - 1]
-        terms = {}
-        for j, coeff in enumerate(row):
-            exps = tuple(1 if k == j else 0 for k in range(self.num_vars))
-            terms[exps] = coeff
-        return Form(self.num_vars, 1, terms)
-
     def compose(self, other: CoordinateChange) -> CoordinateChange:
         """The change equivalent to applying self first, then other."""
         if self.num_vars != other.num_vars:
@@ -320,23 +320,119 @@ def _determinant(matrix: tuple[tuple[Fraction, ...], ...]) -> Fraction:
     return det
 
 
+# -- integer rows -------------------------------------------------------------
+#
+# The graded-piece kernel works on rows: dicts from exponent vector to int.
+# Where only the span matters a row is kept primitive (content divided out),
+# so no Fraction arithmetic happens inside substitution or elimination;
+# Fractions and Forms are built only for the results handed back.
+
+Row = dict[Exponent, int]
+# a linear substitution: variable i -> sum of c * y_slot over (slot, c) pairs
+LinearImages = list[list[tuple[int, int]]]
+
+
+def primitive(row: Row) -> tuple[Row, int]:
+    """row divided by its content (the gcd of its entries), and the content."""
+    content = math.gcd(*row.values()) or 1
+    if content > 1:
+        row = {e: c // content for e, c in row.items()}
+    return row, content
+
+
+def integer_row(f: Form) -> tuple[Row, Fraction]:
+    """The primitive integer multiple of f and its factor: row = scale * f."""
+    if f.is_zero():
+        return {}, Fraction(1)
+    denominator = math.lcm(*(c.denominator for c in f.terms.values()))
+    row, content = primitive({e: c.numerator * (denominator // c.denominator) for e, c in f.terms.items()})
+    return row, Fraction(denominator, content)
+
+
+def form_from_row(num_vars: int, degree: int, row: Row, scale: int | Fraction) -> Form:
+    """The form row / scale, for a nonzero int or Fraction scale."""
+    return Form(num_vars, degree, {e: Fraction(c, scale) for e, c in row.items()})
+
+
+def change_images(change: CoordinateChange) -> tuple[LinearImages, int]:
+    """The change scaled by the common denominator D of its entries, and D.
+
+    Under the scaled change a degree-d image is D^d times the true one.
+    """
+    denominator = math.lcm(*(v.denominator for row in change.matrix for v in row))
+    images = [
+        [(j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v]
+        for row in change.matrix
+    ]
+    return images, denominator
+
+
+def restriction_images(linear: Form, num_vars: int) -> tuple[LinearImages, int]:
+    """The substitution that solves linear = 0, scaled to integers, and the scale.
+
+    The variable of largest index with a nonzero coefficient c_j is solved
+    for; its slot is deleted and the others renumbered in order.  The
+    images x_i -> c_j*x_i and x_j -> -sum_{i != j} c_i*x_i are c_j times
+    the true ones, so a degree-d image is c_j^d times the true one.
+    """
+    if linear.is_zero():
+        raise ValueError("cannot restrict by the zero form")
+    if linear.degree != 1 or linear.num_vars != num_vars:
+        raise ValueError("restriction needs a degree-1 form over the same variables")
+    row, _ = integer_row(linear)
+    coeffs = [0] * num_vars
+    for exps, c in row.items():
+        coeffs[exps.index(1)] = c
+    j = max(i for i, c in enumerate(coeffs) if c)
+
+    def slot(i: int) -> int:
+        return i if i < j else i - 1
+
+    solved = [(slot(i), -c) for i, c in enumerate(coeffs) if c and i != j]
+    images = [solved if i == j else [(slot(i), coeffs[j])] for i in range(num_vars)]
+    return images, coeffs[j]
+
+
+def _monomial_image(exps: Exponent, images: LinearImages, table: dict[Exponent, Row]) -> Row:
+    got = table.get(exps)
+    if got is None:
+        # exps is not the empty monomial, whose image the caller seeds
+        i = next(k for k, e in enumerate(exps) if e)
+        got = {}
+        for m, c in _monomial_image(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], images, table).items():
+            for k, a in images[i]:
+                key = m[:k] + (m[k] + 1,) + m[k + 1 :]
+                got[key] = got.get(key, 0) + a * c
+        table[exps] = got
+    return got
+
+
+def sym_power(rows: list[Row], images: LinearImages, num_vars_out: int) -> list[Row]:
+    """Images of rows under the linear substitution x_i -> images[i].
+
+    This is the symmetric power Sym^d of the substitution.  The image of
+    each monomial is built once per call, from a smaller monomial's image
+    times one linear image, and shared by every row.
+    """
+    table: dict[Exponent, Row] = {(0,) * len(images): {(0,) * num_vars_out: 1}}
+    out = []
+    for row in rows:
+        acc: Row = {}
+        for exps, c in row.items():
+            for m, a in _monomial_image(exps, images, table).items():
+                acc[m] = acc.get(m, 0) + a * c
+        out.append({m: c for m, c in acc.items() if c})
+    return out
+
+
 def apply_change(f: Form, change: CoordinateChange) -> Form:
     """Substitute x_i -> sum_j M[i][j] x_j and expand."""
     if f.num_vars != change.num_vars:
         raise ValueError("form and coordinate change over different variable counts")
-    s = f.num_vars
-    images = [change.variable_image(i + 1) for i in range(s)]
-    powers: list[list[Form]] = [[Form.one(s)] for _ in range(s)]
-    result: dict[Exponent, Fraction] = {}
-    for exps, coeff in f.terms.items():
-        term = Form.monomial(s, (0,) * s, coeff)
-        for i, e in enumerate(exps):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * images[i])
-            term = term * powers[i][e]
-        for key, c in term.terms.items():
-            result[key] = result.get(key, Fraction(0)) + c
-    return Form(s, f.degree, result)
+    images, denominator = change_images(change)
+    row, scale = integer_row(f)
+    [image] = sym_power([row], images, f.num_vars)
+    return form_from_row(f.num_vars, f.degree, image, scale * denominator**f.degree)
 
 
 def restrict(f: Form, linear: Form) -> Form:
@@ -347,34 +443,10 @@ def restrict(f: Form, linear: Form) -> Form:
     the removed slot deleted and the rest renumbered in order.  For
     linear = x_s this is exactly "set x_s = 0".
     """
-    if linear.is_zero():
-        raise ValueError("cannot restrict by the zero form")
-    if linear.degree != 1 or linear.num_vars != f.num_vars:
-        raise ValueError("restriction needs a degree-1 form over the same variables")
-    s = f.num_vars
-    coeffs = [Fraction(0)] * s
-    for exps, coeff in linear.terms.items():
-        coeffs[exps.index(1)] = coeff
-    j = max(i for i, c in enumerate(coeffs) if c != 0)
-    # x_j = sum_{i != j} (-c_i / c_j) x_i, renumbered onto s - 1 slots
-    sub_terms: dict[Exponent, Fraction] = {}
-    for i, c in enumerate(coeffs):
-        if i == j or c == 0:
-            continue
-        slot = i if i < j else i - 1
-        exps = tuple(1 if k == slot else 0 for k in range(s - 1))
-        sub_terms[exps] = -c / coeffs[j]
-    substitute = Form(s - 1, 1, sub_terms)
-    sub_powers: list[Form] = [Form.one(s - 1)]
-    result: dict[Exponent, Fraction] = {}
-    for exps, coeff in f.terms.items():
-        reduced = exps[:j] + exps[j + 1 :]
-        while len(sub_powers) <= exps[j]:
-            sub_powers.append(sub_powers[-1] * substitute)
-        term = Form.monomial(s - 1, reduced, coeff) * sub_powers[exps[j]]
-        for key, c in term.terms.items():
-            result[key] = result.get(key, Fraction(0)) + c
-    return Form(s - 1, f.degree, result)
+    images, solved_coeff = restriction_images(linear, f.num_vars)
+    row, scale = integer_row(f)
+    [image] = sym_power([row], images, f.num_vars - 1)
+    return form_from_row(f.num_vars - 1, f.degree, image, scale * solved_coeff**f.degree)
 
 
 def try_divide(f: Form, divisor: Form) -> Form | None:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import add
 
-from .forms import REVLEX, CoordinateChange, Form, apply_change, monomials_of_degree
+from .forms import REVLEX, CoordinateChange, Form, apply_change, integer_row, monomials_of_degree
 from .ideals import MonomialIdeal, minimalize
 from .subspaces import (
     MonomialSet,
+    RowEchelon,
     Subspace,
     echelonize,
     initial_subspace,
@@ -96,14 +98,20 @@ def gin_subspace(
 
 
 def ideal_graded_piece(gens: list[Form], degree: int, order: str, num_vars: int) -> Subspace:
-    """The degree-d piece of the ideal generated by homogeneous gens."""
-    spanning = [
-        Form.monomial(num_vars, m) * g
-        for g in gens
-        if g.degree <= degree
-        for m in monomials_of_degree(num_vars, degree - g.degree)
-    ]
-    return echelonize(spanning, order, num_vars=num_vars, degree=degree)
+    """The degree-d piece of the ideal generated by homogeneous gens.
+
+    Spanned by the rows x^a * g, each the integer row of g shifted by a.
+    """
+    echelon = RowEchelon(order)
+    for g in gens:
+        if g.num_vars != num_vars:
+            raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
+        if g.degree > degree:
+            continue
+        row, _ = integer_row(g)
+        for shift in monomials_of_degree(num_vars, degree - g.degree):
+            echelon.add({tuple(map(add, e, shift)): c for e, c in row.items()})
+    return echelon.subspace(num_vars, degree)
 
 
 def initial_ideal_truncated(

@@ -11,6 +11,7 @@ from math import comb
 from .forms import (
     REVLEX,
     Exponent,
+    InvariantError,
     format_monomial,
     monomial_key,
     monomials_of_degree,
@@ -179,7 +180,7 @@ def enumerate_gin_candidates(num_vars: int, quotient_hf, dmax: int) -> list[Mono
     search therefore runs over Borel-closed monomial sets in those
     variables, degree by degree; every candidate is re-verified against
     the three defining predicates before being returned, and the
-    confinement is asserted per candidate rather than assumed.
+    confinement is checked per candidate rather than assumed.
     """
     hf = list(quotient_hf)
     if not hf:
@@ -216,7 +217,8 @@ def enumerate_gin_candidates(num_vars: int, quotient_hf, dmax: int) -> list[Mono
         if d > dmax:
             monomials = [m + (0,) for layer in chosen for m in layer]
             candidate = minimalize(monomials, s)
-            assert all(g[-1] == 0 for g in candidate.gens), "generator involves the last variable"
+            if any(g[-1] for g in candidate.gens):
+                raise InvariantError("generator involves the last variable")
             if not all(hilbert_function(candidate, e) == hf_at(e) for e in range(dmax + 2)):
                 return
             if not is_borel_fixed(candidate) or not is_saturated_in_last_variable(candidate):

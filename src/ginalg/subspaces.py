@@ -4,6 +4,10 @@ A Subspace is stored as a reduced echelon basis: each basis form is monic
 at its leading monomial, leading monomials are pairwise distinct, and no
 basis form contains another's leading monomial.  Reduced echelon form is
 unique, so subspace equality is a syntactic check.
+
+Elimination runs on primitive integer rows (`RowEchelon`): fraction-free
+Gauss-Jordan with the content divided out after every row operation.
+Fractions appear only in the basis of the Subspace returned.
 """
 
 from __future__ import annotations
@@ -11,20 +15,28 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, gcd
+from typing import Iterable
 
 from .forms import (
     REVLEX,
+    CoordinateChange,
     Exponent,
     Form,
-    CoordinateChange,
-    apply_change,
+    LinearImages,
+    Row,
+    change_images,
+    form_from_row,
     format_monomial,
     initial_monomial,
+    integer_row,
     monomial_key,
     monomials_of_degree,
-    restrict,
+    primitive,
+    restriction_images,
     sort_monomials,
+    sym_power,
 )
 
 
@@ -86,14 +98,83 @@ class MonomialSet:
         return MonomialSet(self.num_vars - 1, self.degree, kept)
 
 
-def _reduce_against(f: Form, rows: list[Form], order: str) -> Form:
-    # rows are reduced: no row contains another row's pivot, so one pass suffices
-    for row in rows:
-        pivot = initial_monomial(row, order)
-        coeff = f.coefficient(pivot)
-        if coeff != 0:
-            f = f - row * coeff
-    return f
+def _cancel(row: Row, pivot_row: Row, column: Exponent) -> tuple[Row, int, int]:
+    """Clear row's entry at column with pivot_row, fraction-free.
+
+    Returns (r, a, g) where g*r = a*row - b*pivot_row for the coprime pair
+    a, b that cancels the column, and r is primitive.
+    """
+    a, b = pivot_row[column], row[column]
+    common = gcd(a, b)
+    a, b = a // common, b // common
+    out = dict(row) if a == 1 else {e: a * c for e, c in row.items()}
+    for e, c in pivot_row.items():
+        value = out.get(e, 0) - b * c
+        if value:
+            out[e] = value
+        else:
+            del out[e]
+    out, content = primitive(out)
+    return out, a, content
+
+
+class RowEchelon:
+    """Integer Gauss-Jordan elimination for one graded piece.
+
+    `rows` maps each pivot to a primitive integer row whose leading monomial
+    under the order is that pivot and whose entry at every other pivot is
+    zero.  Dividing each row by its pivot entry gives the reduced echelon
+    basis over the rationals.
+    """
+
+    __slots__ = ("order", "rows", "_key")
+
+    def __init__(self, order: str, rows: Iterable[Row] = ()):
+        self.order = order
+        self.rows: dict[Exponent, Row] = {}
+        self._key = partial(monomial_key, order)
+        for row in rows:
+            self.add(row)
+
+    @classmethod
+    def of(cls, space: Subspace) -> RowEchelon:
+        echelon = cls(space.order)
+        for f, pivot in zip(space.basis, space.leading_monomials()):
+            echelon.rows[pivot] = integer_row(f)[0]
+        return echelon
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: Row) -> tuple[Row, Fraction]:
+        """The residue of row against the rows and its factor: a primitive
+        residue equal to factor * (row minus its part in the span)."""
+        row, den = primitive(row)
+        num = 1
+        # clearing one pivot leaves the entries at the other pivots nonzero
+        pivots = [e for e in row if e in self.rows]
+        for pivot in pivots:
+            row, a, content = _cancel(row, self.rows[pivot], pivot)
+            num, den = num * a, den * content
+        return row, Fraction(num, den)
+
+    def add(self, row: Row) -> bool:
+        """Extend the span by row; False when row already lies in it."""
+        row, _ = self.reduce(row)
+        if not row:
+            return False
+        pivot = max(row, key=self._key)
+        for other_pivot, other in self.rows.items():
+            if pivot in other:
+                self.rows[other_pivot] = _cancel(other, row, pivot)[0]
+        self.rows[pivot] = row
+        return True
+
+    def subspace(self, num_vars: int, degree: int) -> Subspace:
+        pivots = sorted(self.rows, key=self._key, reverse=True)
+        basis = tuple(form_from_row(num_vars, degree, self.rows[p], self.rows[p][p]) for p in pivots)
+        return Subspace(num_vars, degree, self.order, basis)
 
 
 def echelonize(
@@ -118,20 +199,7 @@ def echelonize(
             raise ValueError(f"mixed degrees in echelonize input: {degree} and {f.degree}")
     if num_vars is None or degree is None:
         raise ValueError("echelonize needs num_vars and degree when no nonzero form is given")
-
-    rows: list[Form] = []
-    for f in forms:
-        if f.is_zero():
-            continue
-        f = _reduce_against(f, rows, order)
-        if f.is_zero():
-            continue
-        pivot = initial_monomial(f, order)
-        f = f / f.terms[pivot]
-        rows = [row - f * row.coefficient(pivot) for row in rows]
-        rows.append(f)
-    rows.sort(key=lambda r: monomial_key(order, initial_monomial(r, order)), reverse=True)
-    return Subspace(num_vars, degree, order, tuple(rows))
+    return RowEchelon(order, (integer_row(f)[0] for f in forms)).subspace(num_vars, degree)
 
 
 def initial_subspace(space: Subspace) -> MonomialSet:
@@ -145,30 +213,31 @@ def reduce_form(space: Subspace, f: Form) -> Form:
         raise ValueError("form and subspace over different variable counts")
     if not f.is_zero() and f.degree != space.degree:
         raise ValueError(f"degree mismatch: form has {f.degree}, subspace has {space.degree}")
-    return _reduce_against(f, list(space.basis), space.order)
+    row, scale = integer_row(f)
+    residue, factor = RowEchelon.of(space).reduce(row)
+    return form_from_row(f.num_vars, f.degree, residue, scale * factor)
 
 
 def contains(space: Subspace, f: Form) -> bool:
     return reduce_form(space, f).is_zero()
 
 
+def _span_of_images(space: Subspace, images: LinearImages, num_vars: int) -> Subspace:
+    """Echelon basis of the basis images under a substitution onto num_vars variables."""
+    rows = sym_power([integer_row(f)[0] for f in space.basis], images, num_vars)
+    return RowEchelon(space.order, rows).subspace(num_vars, space.degree)
+
+
 def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
-    return echelonize(
-        [apply_change(f, change) for f in space.basis],
-        space.order,
-        num_vars=space.num_vars,
-        degree=space.degree,
-    )
+    if space.num_vars != change.num_vars:
+        raise ValueError("subspace and coordinate change over different variable counts")
+    return _span_of_images(space, change_images(change)[0], space.num_vars)
 
 
 def restrict_subspace(space: Subspace, linear: Form) -> Subspace:
     """Image of the subspace in the quotient by the hyperplane linear = 0."""
-    return echelonize(
-        [restrict(f, linear) for f in space.basis],
-        space.order,
-        num_vars=space.num_vars - 1,
-        degree=space.degree,
-    )
+    images, _ = restriction_images(linear, space.num_vars)
+    return _span_of_images(space, images, space.num_vars - 1)
 
 
 def random_form(rng: random.Random, num_vars: int, degree: int, bound: int) -> Form:
@@ -190,15 +259,10 @@ def random_subspace(
     if not 0 <= dim <= ambient:
         raise ValueError(f"dim {dim} out of range 0..{ambient}")
     rng = random.Random(seed)
-    chosen: list[Form] = []
-    space = echelonize([], order, num_vars=num_vars, degree=degree)
-    while space.dim < dim:
-        candidate = random_form(rng, num_vars, degree, bound)
-        extended = echelonize(chosen + [candidate], order, num_vars=num_vars, degree=degree)
-        if extended.dim > space.dim:
-            chosen.append(candidate)
-            space = extended
-    return space
+    echelon = RowEchelon(order)
+    while echelon.rank < dim:
+        echelon.add(integer_row(random_form(rng, num_vars, degree, bound))[0])
+    return echelon.subspace(num_vars, degree)
 
 
 def full_graded_piece(num_vars: int, degree: int, order: str = REVLEX) -> Subspace:

@@ -2,17 +2,32 @@
 
 Nothing here touches the code paths being checked: the order oracles apply
 the definitions directly, the gcd oracle works by bounded degree
-enumeration with its own echelon routine plus trial division, and the
-Hilbert oracles count by inclusion-exclusion / power-series expansion.
+enumeration with its own echelon routine plus trial division, the Hilbert
+oracles count by inclusion-exclusion / power-series expansion, and the
+graded-piece oracles substitute and eliminate in `Form` arithmetic over
+`Fraction`, independently of the integer-row kernel in the package.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from ginalg import Form, format_form, monomials_of_degree, normalize_form, try_divide
+from ginalg import (
+    REVLEX,
+    CoordinateChange,
+    Form,
+    Subspace,
+    format_form,
+    initial_monomial,
+    monomial_key,
+    monomials_of_degree,
+    normalize_form,
+    random_form,
+    try_divide,
+)
 
 
 # -- monomial order definitions, applied literally ---------------------------
@@ -135,3 +150,100 @@ def ci_three_quadrics_quotient_hf(dmax: int) -> list[int]:
         for i in range(1, dmax + 1):
             series[i] += series[i - 1]
     return series
+
+
+# -- graded-piece linear algebra in Form arithmetic ----------------------------
+
+
+def oracle_apply_change(f: Form, change: CoordinateChange) -> Form:
+    """Substitute x_i -> sum_j M[i][j] x_j by expanding powers of the images."""
+    s = f.num_vars
+    images = [
+        Form(s, 1, {tuple(int(k == j) for k in range(s)): c for j, c in enumerate(row)})
+        for row in change.matrix
+    ]
+    powers: list[list[Form]] = [[Form.one(s)] for _ in range(s)]
+    result: dict = {}
+    for exps, coeff in f.terms.items():
+        term = Form.monomial(s, (0,) * s, coeff)
+        for i, e in enumerate(exps):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * images[i])
+            term = term * powers[i][e]
+        for key, c in term.terms.items():
+            result[key] = result.get(key, Fraction(0)) + c
+    return Form(s, f.degree, result)
+
+
+def oracle_restrict(f: Form, linear: Form) -> Form:
+    """Solve linear = 0 for its last variable and substitute, over s - 1 slots."""
+    s = f.num_vars
+    coeffs = [Fraction(0)] * s
+    for exps, coeff in linear.terms.items():
+        coeffs[exps.index(1)] = coeff
+    j = max(i for i, c in enumerate(coeffs) if c != 0)
+    sub_terms: dict = {}
+    for i, c in enumerate(coeffs):
+        if i == j or c == 0:
+            continue
+        slot = i if i < j else i - 1
+        sub_terms[tuple(1 if k == slot else 0 for k in range(s - 1))] = -c / coeffs[j]
+    substitute = Form(s - 1, 1, sub_terms)
+    sub_powers = [Form.one(s - 1)]
+    result: dict = {}
+    for exps, coeff in f.terms.items():
+        while len(sub_powers) <= exps[j]:
+            sub_powers.append(sub_powers[-1] * substitute)
+        term = Form.monomial(s - 1, exps[:j] + exps[j + 1 :], coeff) * sub_powers[exps[j]]
+        for key, c in term.terms.items():
+            result[key] = result.get(key, Fraction(0)) + c
+    return Form(s - 1, f.degree, result)
+
+
+def oracle_reduce(f: Form, rows: list[Form], order: str) -> Form:
+    for row in rows:
+        coeff = f.coefficient(initial_monomial(row, order))
+        if coeff != 0:
+            f = f - row * coeff
+    return f
+
+
+def oracle_echelonize(forms, order: str, num_vars: int, degree: int) -> Subspace:
+    """Reduced echelon basis by Gauss-Jordan elimination over Fraction."""
+    rows: list[Form] = []
+    for f in forms:
+        f = oracle_reduce(f, rows, order)
+        if f.is_zero():
+            continue
+        pivot = initial_monomial(f, order)
+        f = f / f.terms[pivot]
+        rows = [row - f * row.coefficient(pivot) for row in rows]
+        rows.append(f)
+    rows.sort(key=lambda r: monomial_key(order, initial_monomial(r, order)), reverse=True)
+    return Subspace(num_vars, degree, order, tuple(rows))
+
+
+def oracle_ideal_graded_piece(gens, degree: int, order: str, num_vars: int) -> Subspace:
+    spanning = [
+        Form.monomial(num_vars, m) * g
+        for g in gens
+        if g.degree <= degree
+        for m in monomials_of_degree(num_vars, degree - g.degree)
+    ]
+    return oracle_echelonize(spanning, order, num_vars, degree)
+
+
+def oracle_random_subspace(
+    num_vars: int, degree: int, dim: int, seed: int, bound: int = 10, order: str = REVLEX
+) -> Subspace:
+    """Draw forms, re-echelonizing the chosen ones plus each candidate from scratch."""
+    rng = random.Random(seed)
+    chosen: list[Form] = []
+    space = oracle_echelonize([], order, num_vars, degree)
+    while space.dim < dim:
+        candidate = random_form(rng, num_vars, degree, bound)
+        extended = oracle_echelonize(chosen + [candidate], order, num_vars, degree)
+        if extended.dim > space.dim:
+            chosen.append(candidate)
+            space = extended
+    return space

@@ -228,3 +228,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"gcd": "x1 + x2", "degree": 1}
+
+
+def test_invariant_failure_exits_one(capsys, monkeypatch):
+    from ginalg import InvariantError, cli
+
+    def broken(f, g):
+        raise InvariantError("inexact integer division")
+
+    monkeypatch.setattr(cli, "gcd_forms", broken)
+    code, out, err = invoke(capsys, ["gcd", "--vars", "2", "x1", "x2"])
+    assert code == 1 and out == ""
+    assert "assertion failure: inexact integer division" in err
+
+
+def test_invariant_checks_survive_optimized_mode():
+    # python -O strips assert statements; the exact-division check must still raise
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", "from ginalg.factors import _div_coeff_exact; _div_coeff_exact(3, 2, 0)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode != 0
+    assert "InvariantError: inexact integer division" in result.stderr
