@@ -20,7 +20,6 @@ from .forms import (
     initial_monomial,
     monomial_key,
     monomials_of_degree,
-    multiply,
     normalize_form,
     normalize_order_name,
     parse_form,
@@ -69,7 +68,6 @@ from .ideals import (
     colon_by_last_variable,
     contains_monomial,
     enumerate_gin_candidates,
-    format_ideal,
     hilbert_function,
     is_borel_fixed,
     is_saturated_in_last_variable,

@@ -46,7 +46,7 @@ def truncated_initial_ideal(gens: list[Form], order: str) -> MonomialIdeal:
     return minimalize([e for ms in per_degree.values() for e in ms.exps], NUM_VARS)
 
 
-def search_j2_revlex_witness(max_candidates: int | None = None) -> tuple[list[Form], int] | None:
+def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     """Bounded deterministic search for a complete intersection of three
     quadrics whose plain revlex initial ideal, truncated at degree 4, is J2.
 
@@ -79,8 +79,6 @@ def search_j2_revlex_witness(max_candidates: int | None = None) -> tuple[list[Fo
     for coeff_choice in product(coefficients, repeat=3):
         for tail_choice in product(tails, repeat=3):
             examined += 1
-            if max_candidates is not None and examined > max_candidates:
-                return None
             gens = [
                 head + Form.monomial(NUM_VARS, tail, c)
                 for head, tail, c in zip(heads, tail_choice, coeff_choice)

@@ -245,8 +245,9 @@ def common_factor(space: Subspace) -> tuple[Form, int]:
     """GCD over the echelon basis; (1, 0) when the forms are coprime."""
     if space.dim == 0:
         raise ValueError("common factor of the zero subspace")
-    acc = space.basis[0]
-    for f in space.basis[1:]:
+    basis = space.basis
+    acc = basis[0]
+    for f in basis[1:]:
         acc = gcd_forms(acc, f)
         if acc.degree == 0:
             break
@@ -458,6 +459,8 @@ def hyperplane_factor_probe(
     converse direction is only sampled: all-restrictions-factor without a
     factor on V is flagged as an anomaly for inspection, not refuted.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if space.num_vars < 2:
         raise ValueError("need at least two variables to restrict")
     _, own_degree = common_factor(space)

@@ -242,19 +242,11 @@ class Form:
         return f"Form({self.num_vars}, {format_form(self)!r})"
 
 
-def multiply(f: Form, g: Form) -> Form:
-    return f * g
-
-
 def initial_monomial(f: Form, order: str) -> Exponent:
     """The largest stored exponent under the order."""
     if f.is_zero():
         raise ValueError("initial monomial of zero")
     return max(f.terms, key=lambda e: monomial_key(order, e))
-
-
-def leading_coefficient(f: Form, order: str) -> Fraction:
-    return f.terms[initial_monomial(f, order)]
 
 
 class CoordinateChange:
@@ -644,14 +636,5 @@ def normalize_form(f: Form, order: str = REVLEX) -> Form:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if f.is_zero():
         return f
-    denominator_lcm = 1
-    for coeff in f.terms.values():
-        denominator_lcm = denominator_lcm * coeff.denominator // math.gcd(denominator_lcm, coeff.denominator)
-    scaled = {e: c * denominator_lcm for e, c in f.terms.items()}
-    numerator_gcd = 0
-    for coeff in scaled.values():
-        numerator_gcd = math.gcd(numerator_gcd, abs(coeff.numerator))
-    result = Form(f.num_vars, f.degree, {e: c / numerator_gcd for e, c in scaled.items()})
-    if leading_coefficient(result, order) < 0:
-        result = -result
-    return result
+    row, _ = integer_row(f)
+    return form_from_row(f.num_vars, f.degree, row, 1 if row[initial_monomial(f, order)] > 0 else -1)

@@ -18,7 +18,6 @@ from .subspaces import (
     MonomialSet,
     RowEchelon,
     Subspace,
-    echelonize,
     initial_subspace,
     restrict_subspace,
     transform_subspace,
@@ -78,7 +77,6 @@ def _majority(outcomes: list) -> tuple[object, int]:
 
 def gin_subspace(
     space: Subspace,
-    order: str | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     bound: int = DEFAULT_BOUND,
@@ -86,8 +84,6 @@ def gin_subspace(
     """Initial subspace after a random change, repeated over independent trials."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if order is not None and order != space.order:
-        space = echelonize(space.basis, order, num_vars=space.num_vars, degree=space.degree)
     seeds = _trial_seeds(seed, trials)
     outcomes = [
         initial_subspace(transform_subspace(space, random_change(space.num_vars, ts, bound)))

@@ -5,6 +5,7 @@ admissible initial-ideal candidates cut out by those constraints."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -78,19 +79,25 @@ def hilbert_function(ideal: MonomialIdeal, degree: int) -> int:
     return total - len(ideal_monomials_of_degree(ideal, degree))
 
 
-def is_borel_fixed(ideal: MonomialIdeal) -> bool:
-    """Characteristic-zero criterion: every exchange (x_j/x_i)*m, j < i, stays inside."""
-    for g in ideal.gens:
-        for i, e in enumerate(g):
+def _is_borel_closed(monomials, member) -> bool:
+    """Every exchange (x_j/x_i)*m, j < i, of the given monomials satisfies member."""
+    for m in monomials:
+        for i, e in enumerate(m):
             if e == 0:
                 continue
             for j in range(i):
-                moved = list(g)
+                moved = list(m)
                 moved[i] -= 1
                 moved[j] += 1
-                if not contains_monomial(ideal, tuple(moved)):
+                if not member(tuple(moved)):
                     return False
     return True
+
+
+def is_borel_fixed(ideal: MonomialIdeal) -> bool:
+    """Characteristic-zero criterion: every exchange (x_j/x_i)*m, j < i, stays
+    inside; checking the generators suffices."""
+    return _is_borel_closed(ideal.gens, partial(contains_monomial, ideal))
 
 
 def colon_by_last_variable(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -125,10 +132,6 @@ def parse_ideal(text: str, num_vars: int) -> MonomialIdeal:
     return minimalize(gens, num_vars)
 
 
-def format_ideal(ideal: MonomialIdeal) -> str:
-    return str(ideal)
-
-
 # -- candidate enumeration ---------------------------------------------------
 
 
@@ -141,20 +144,6 @@ def _shift_up(monomials: set, num_vars: int) -> set:
     return out
 
 
-def _is_borel_closed_set(monomials: set) -> bool:
-    for m in monomials:
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            for j in range(i):
-                moved = list(m)
-                moved[i] -= 1
-                moved[j] += 1
-                if tuple(moved) not in monomials:
-                    return False
-    return True
-
-
 def _borel_closed_extensions(base: set, degree: int, size: int, num_vars: int):
     """Borel-closed degree-d sets of the given size containing base."""
     if len(base) > size:
@@ -164,7 +153,7 @@ def _borel_closed_extensions(base: set, degree: int, size: int, num_vars: int):
         return
     for extra in combinations(pool, size - len(base)):
         candidate = base | set(extra)
-        if _is_borel_closed_set(candidate):
+        if _is_borel_closed(candidate, candidate.__contains__):
             yield candidate
 
 

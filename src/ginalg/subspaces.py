@@ -1,13 +1,14 @@
 """Canonical echelon bases for subspaces of one graded piece.
 
-A Subspace is stored as a reduced echelon basis: each basis form is monic
-at its leading monomial, leading monomials are pairwise distinct, and no
-basis form contains another's leading monomial.  Reduced echelon form is
-unique, so subspace equality is a syntactic check.
+A Subspace is stored as the rows of its reduced echelon form: one
+primitive integer row per pivot, with a positive pivot entry and a zero
+entry at every other pivot.  Dividing each row by its pivot entry gives the
+reduced echelon basis over the rationals, which is unique, so these rows
+are unique too and subspace equality is a syntactic check.
 
-Elimination runs on primitive integer rows (`RowEchelon`): fraction-free
-Gauss-Jordan with the content divided out after every row operation.
-Fractions appear only in the basis of the Subspace returned.
+Elimination runs on the rows (`RowEchelon`): fraction-free Gauss-Jordan
+with the content divided out after every row operation.  Fractions appear
+only when a Subspace's `basis` is read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .forms import (
     change_images,
     form_from_row,
     format_monomial,
-    initial_monomial,
     integer_row,
     monomial_key,
     monomials_of_degree,
@@ -41,23 +41,38 @@ from .forms import (
 
 
 class Subspace:
-    __slots__ = ("num_vars", "degree", "order", "basis")
+    """A subspace of one graded piece, as the rows of its reduced echelon form.
 
-    def __init__(self, num_vars: int, degree: int, order: str, basis: tuple[Form, ...]):
+    `rows` maps each pivot, in descending order, to its primitive integer
+    row.  `basis` is the reduced echelon basis, monic at each pivot; it is
+    built from the rows on first read and kept.
+    """
+
+    __slots__ = ("num_vars", "degree", "order", "rows", "_basis")
+
+    def __init__(self, num_vars: int, degree: int, order: str, rows: dict[Exponent, Row]):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self) -> tuple[Form, ...]:
+        if self._basis is None:
+            basis = tuple(form_from_row(self.num_vars, self.degree, row, row[p]) for p, row in self.rows.items())
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def leading_monomials(self) -> tuple[Exponent, ...]:
-        return tuple(initial_monomial(f, self.order) for f in self.basis)
+        return tuple(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -65,11 +80,11 @@ class Subspace:
             and self.num_vars == other.num_vars
             and self.degree == other.degree
             and self.order == other.order
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_vars, self.degree, self.order, self.basis))
+        return hash((self.num_vars, self.degree, self.order, tuple(self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(s={self.num_vars}, d={self.degree}, order={self.order}, dim={self.dim})"
@@ -118,13 +133,25 @@ def _cancel(row: Row, pivot_row: Row, column: Exponent) -> tuple[Row, int, int]:
     return out, a, content
 
 
+def _reduce(rows: dict[Exponent, Row], row: Row) -> tuple[Row, Fraction]:
+    """The residue of row against echelon rows and its factor: a primitive
+    residue equal to factor * (row minus its part in their span)."""
+    row, den = primitive(row)
+    num = 1
+    # clearing one pivot leaves the entries at the other pivots nonzero
+    pivots = [e for e in row if e in rows]
+    for pivot in pivots:
+        row, a, content = _cancel(row, rows[pivot], pivot)
+        num, den = num * a, den * content
+    return row, Fraction(num, den)
+
+
 class RowEchelon:
     """Integer Gauss-Jordan elimination for one graded piece.
 
     `rows` maps each pivot to a primitive integer row whose leading monomial
-    under the order is that pivot and whose entry at every other pivot is
-    zero.  Dividing each row by its pivot entry gives the reduced echelon
-    basis over the rationals.
+    under the order is that pivot, whose entry there is positive and whose
+    entry at every other pivot is zero.
     """
 
     __slots__ = ("order", "rows", "_key")
@@ -136,35 +163,20 @@ class RowEchelon:
         for row in rows:
             self.add(row)
 
-    @classmethod
-    def of(cls, space: Subspace) -> RowEchelon:
-        echelon = cls(space.order)
-        for f, pivot in zip(space.basis, space.leading_monomials()):
-            echelon.rows[pivot] = integer_row(f)[0]
-        return echelon
-
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: Row) -> tuple[Row, Fraction]:
-        """The residue of row against the rows and its factor: a primitive
-        residue equal to factor * (row minus its part in the span)."""
-        row, den = primitive(row)
-        num = 1
-        # clearing one pivot leaves the entries at the other pivots nonzero
-        pivots = [e for e in row if e in self.rows]
-        for pivot in pivots:
-            row, a, content = _cancel(row, self.rows[pivot], pivot)
-            num, den = num * a, den * content
-        return row, Fraction(num, den)
-
     def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
-        row, _ = self.reduce(row)
+        row, _ = _reduce(self.rows, row)
         if not row:
             return False
         pivot = max(row, key=self._key)
+        if row[pivot] < 0:
+            row = {e: -c for e, c in row.items()}
+        # the cancelling multiple of each other row is positive, so its
+        # pivot entry keeps its sign
         for other_pivot, other in self.rows.items():
             if pivot in other:
                 self.rows[other_pivot] = _cancel(other, row, pivot)[0]
@@ -173,8 +185,7 @@ class RowEchelon:
 
     def subspace(self, num_vars: int, degree: int) -> Subspace:
         pivots = sorted(self.rows, key=self._key, reverse=True)
-        basis = tuple(form_from_row(num_vars, degree, self.rows[p], self.rows[p][p]) for p in pivots)
-        return Subspace(num_vars, degree, self.order, basis)
+        return Subspace(num_vars, degree, self.order, {p: self.rows[p] for p in pivots})
 
 
 def echelonize(
@@ -207,24 +218,30 @@ def initial_subspace(space: Subspace) -> MonomialSet:
     return MonomialSet(space.num_vars, space.degree, frozenset(space.leading_monomials()))
 
 
-def reduce_form(space: Subspace, f: Form) -> Form:
-    """Normal form of f against the echelon basis."""
+def _residue(space: Subspace, f: Form) -> tuple[Row, Fraction]:
+    """The residue row of f against the space and its factor: residue = factor * normal form."""
     if f.num_vars != space.num_vars:
         raise ValueError("form and subspace over different variable counts")
     if not f.is_zero() and f.degree != space.degree:
         raise ValueError(f"degree mismatch: form has {f.degree}, subspace has {space.degree}")
     row, scale = integer_row(f)
-    residue, factor = RowEchelon.of(space).reduce(row)
-    return form_from_row(f.num_vars, f.degree, residue, scale * factor)
+    residue, factor = _reduce(space.rows, row)
+    return residue, scale * factor
+
+
+def reduce_form(space: Subspace, f: Form) -> Form:
+    """Normal form of f against the echelon basis."""
+    residue, factor = _residue(space, f)
+    return form_from_row(f.num_vars, f.degree, residue, factor)
 
 
 def contains(space: Subspace, f: Form) -> bool:
-    return reduce_form(space, f).is_zero()
+    return not _residue(space, f)[0]
 
 
 def _span_of_images(space: Subspace, images: LinearImages, num_vars: int) -> Subspace:
-    """Echelon basis of the basis images under a substitution onto num_vars variables."""
-    rows = sym_power([integer_row(f)[0] for f in space.basis], images, num_vars)
+    """Echelon rows of the images of the rows under a substitution onto num_vars variables."""
+    rows = sym_power(list(space.rows.values()), images, num_vars)
     return RowEchelon(space.order, rows).subspace(num_vars, space.degree)
 
 
@@ -242,6 +259,9 @@ def restrict_subspace(space: Subspace, linear: Form) -> Subspace:
 
 def random_form(rng: random.Random, num_vars: int, degree: int, bound: int) -> Form:
     """Integer coefficients drawn uniformly from [-bound, bound] on every monomial."""
+    if bound < 1:
+        # bound 0 draws only the zero form, and callers redraw until nonzero
+        raise ValueError("bound must be at least 1")
     terms = {e: Fraction(rng.randint(-bound, bound)) for e in monomials_of_degree(num_vars, degree)}
     return Form(num_vars, degree, terms)
 
@@ -266,9 +286,5 @@ def random_subspace(
 
 
 def full_graded_piece(num_vars: int, degree: int, order: str = REVLEX) -> Subspace:
-    return echelonize(
-        [Form.monomial(num_vars, e) for e in monomials_of_degree(num_vars, degree)],
-        order,
-        num_vars=num_vars,
-        degree=degree,
-    )
+    monomials = sort_monomials(order, monomials_of_degree(num_vars, degree))
+    return Subspace(num_vars, degree, order, {e: {e: 1} for e in monomials})

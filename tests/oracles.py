@@ -28,6 +28,7 @@ from ginalg import (
     random_form,
     try_divide,
 )
+from ginalg.forms import integer_row
 
 
 # -- monomial order definitions, applied literally ---------------------------
@@ -220,7 +221,7 @@ def oracle_echelonize(forms, order: str, num_vars: int, degree: int) -> Subspace
         rows = [row - f * row.coefficient(pivot) for row in rows]
         rows.append(f)
     rows.sort(key=lambda r: monomial_key(order, initial_monomial(r, order)), reverse=True)
-    return Subspace(num_vars, degree, order, tuple(rows))
+    return Subspace(num_vars, degree, order, {initial_monomial(r, order): integer_row(r)[0] for r in rows})
 
 
 def oracle_ideal_graded_piece(gens, degree: int, order: str, num_vars: int) -> Subspace:

@@ -188,6 +188,33 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert code == 3 and "bad.txt:2" in err
 
 
+def _ginalg(argv):
+    # a subprocess with a timeout, so a redraw loop that never ends fails the test
+    return subprocess.run(
+        [sys.executable, "-m", "ginalg", *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_bounds_below_one_exit_three(quadrics_file, bound):
+    commands = [
+        ["make-instance", "--vars", "4", "--r", "3", "--n", "1", "--m", "1", "--bound", bound],
+        ["probe", "--bound", bound, quadrics_file],
+        ["ci-demo", "--bound", bound],
+    ]
+    for argv in commands:
+        result = _ginalg(argv)
+        assert result.returncode == 3 and result.stdout == "", argv
+        assert "bound must be at least 1" in result.stderr, argv
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_probe_without_trials_exits_three(capsys, quadrics_file, trials):
+    code, out, err = invoke(capsys, ["probe", "--trials", trials, quadrics_file])
+    assert code == 3 and out == ""
+    assert "trials must be at least 1" in err
+
+
 def test_mixed_degree_file_rejected(capsys, tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text("s=2 d=2 order=revlex\nx1^2\nx1*x2^2\n")

@@ -133,6 +133,38 @@ def test_ideal_graded_piece_matches_reference(order, s):
         assert ideal_graded_piece(gens, d, order, s) == oracle_ideal_graded_piece(gens, d, order, s)
 
 
+@pytest.mark.parametrize("order,s", CASES)
+def test_basis_is_the_monic_reference_basis(order, s):
+    """`basis` is built from the rows only when read; it must be the reference's
+    monic forms, in descending pivot order."""
+    rng = random.Random(6000 * s + len(order))
+    d = 3 if s < 5 else 2
+    forms = _independent_and_dependent(rng, s, d, s + 1)
+    space = echelonize(forms, order, num_vars=s, degree=d)
+    change = _change(rng, s, rational=True)
+    linear = _linear(rng, s)
+    gens = forms[:2]
+    cases = [
+        (space, oracle_echelonize(forms, order, s, d)),
+        (
+            transform_subspace(space, change),
+            oracle_echelonize([oracle_apply_change(f, change) for f in space.basis], order, s, d),
+        ),
+        (
+            restrict_subspace(space, linear),
+            oracle_echelonize([oracle_restrict(f, linear) for f in space.basis], order, s - 1, d),
+        ),
+        (ideal_graded_piece(gens, d + 1, order, s), oracle_ideal_graded_piece(gens, d + 1, order, s)),
+    ]
+    for got, reference in cases:
+        # the reference rows are integer_row of its monic forms; dividing by
+        # the pivot entry in Form arithmetic recovers those forms
+        monic = [Form(reference.num_vars, reference.degree, row) / row[p] for p, row in reference.rows.items()]
+        assert list(got.basis) == monic
+        assert got.basis is got.basis
+        assert [f.terms[p] for f, p in zip(got.basis, got.leading_monomials())] == [1] * got.dim
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_subspace_matches_from_scratch_construction(seed):
     s, d = 3 + seed % 3, 2 + seed % 2
