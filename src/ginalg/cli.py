@@ -269,6 +269,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.dmax < 0:
+        raise ValueError("dmax must be nonnegative")
     ideal = parse_ideal(args.ideal, args.vars)
     values = [hilbert_function(ideal, d) for d in range(args.dmax + 1)]
     _emit(args, {"values": values, "dmax": args.dmax}, " ".join(str(v) for v in values))
@@ -409,7 +411,11 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if any(a.startswith("-") and not a.startswith("--") for a in argv):
+            # argparse reads any argument that begins with '-' as an option
+            message += "; a form that begins with '-' must follow '--' or be attached with '=' (--hyperplane=-x1+x3)"
+        print(f"usage error: {message}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     if getattr(args, "command", None) is None:

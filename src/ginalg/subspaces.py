@@ -1,14 +1,15 @@
 """Canonical echelon bases for subspaces of one graded piece.
 
-A Subspace is stored as the rows of its reduced echelon form: one
-primitive integer row per pivot, with a positive pivot entry and a zero
-entry at every other pivot.  Dividing each row by its pivot entry gives the
-reduced echelon basis over the rationals, which is unique, so these rows
-are unique too and subspace equality is a syntactic check.
+A Subspace keeps its pivots, which are its initial subspace, and the rows
+of an echelon form: one primitive integer row per pivot, with a positive
+pivot entry.  Its canonical rows, those of the reduced echelon form, have a
+zero entry at every other pivot; divided by their pivot entries they give
+the unique reduced echelon basis, so subspace equality is a syntactic check.
 
-Elimination runs on the rows (`RowEchelon`): fraction-free Gauss-Jordan
-with the content divided out after every row operation.  Fractions appear
-only when a Subspace's `basis` is read.
+Elimination (`RowEchelon`) is forward only and fraction-free, with the
+content divided out after every row operation.  The back-substitution to
+canonical rows runs once, when a Subspace's `rows` are first read.
+Fractions appear only when its `basis` is read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb, gcd
 from typing import Iterable
 
@@ -41,24 +42,30 @@ from .forms import (
 
 
 class Subspace:
-    """A subspace of one graded piece, as the rows of its reduced echelon form.
+    """A subspace of one graded piece, from echelon rows (canonical or not) that map each pivot,
+    in descending order, to its primitive integer row.  `rows` (canonical) and `basis` (monic
+    at each pivot) are built on first read and kept."""
 
-    `rows` maps each pivot, in descending order, to its primitive integer
-    row.  `basis` is the reduced echelon basis, monic at each pivot; it is
-    built from the rows on first read and kept.
-    """
-
-    __slots__ = ("num_vars", "degree", "order", "rows", "_basis")
+    __slots__ = ("num_vars", "degree", "order", "_pivots", "_echelon", "_rows", "_basis")
 
     def __init__(self, num_vars: int, degree: int, order: str, rows: dict[Exponent, Row]):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_pivots", tuple(rows))
+        object.__setattr__(self, "_echelon", rows)
+        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @property
+    def rows(self) -> dict[Exponent, Row]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _back_substitute(self._echelon))
+            object.__setattr__(self, "_echelon", None)
+        return self._rows
 
     @property
     def basis(self) -> tuple[Form, ...]:
@@ -69,10 +76,10 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._pivots)
 
     def leading_monomials(self) -> tuple[Exponent, ...]:
-        return tuple(self.rows)
+        return self._pivots
 
     def __eq__(self, other) -> bool:
         return (
@@ -84,7 +91,7 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_vars, self.degree, self.order, tuple(self.rows)))
+        return hash((self.num_vars, self.degree, self.order, self._pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(s={self.num_vars}, d={self.degree}, order={self.order}, dim={self.dim})"
@@ -146,12 +153,21 @@ def _reduce(rows: dict[Exponent, Row], row: Row) -> tuple[Row, Fraction]:
     return row, Fraction(num, den)
 
 
+def _back_substitute(echelon: dict[Exponent, Row]) -> dict[Exponent, Row]:
+    """Canonical rows of echelon rows: smallest pivot first, each row reduced against
+    those already reduced, which have no entry at a larger pivot."""
+    reduced: dict[Exponent, Row] = {}
+    for pivot in reversed(echelon):
+        reduced[pivot] = _reduce(reduced, echelon[pivot])[0]
+    return dict(reversed(reduced.items()))
+
+
 class RowEchelon:
-    """Integer Gauss-Jordan elimination for one graded piece.
+    """Forward fraction-free elimination for one graded piece.
 
     `rows` maps each pivot to a primitive integer row whose leading monomial
-    under the order is that pivot, whose entry there is positive and whose
-    entry at every other pivot is zero.
+    under the order is that pivot and whose entry there is positive.  A new
+    row is top-reduced and existing rows are never touched.
     """
 
     __slots__ = ("order", "rows", "_key")
@@ -159,29 +175,24 @@ class RowEchelon:
     def __init__(self, order: str, rows: Iterable[Row] = ()):
         self.order = order
         self.rows: dict[Exponent, Row] = {}
-        self._key = partial(monomial_key, order)
+        # each monomial's order key, computed the first time it is met
+        self._key = cache(partial(monomial_key, order))
         for row in rows:
             self.add(row)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
-        row, _ = _reduce(self.rows, row)
-        if not row:
-            return False
-        pivot = max(row, key=self._key)
-        if row[pivot] < 0:
-            row = {e: -c for e, c in row.items()}
-        # the cancelling multiple of each other row is positive, so its
-        # pivot entry keeps its sign
-        for other_pivot, other in self.rows.items():
-            if pivot in other:
-                self.rows[other_pivot] = _cancel(other, row, pivot)[0]
-        self.rows[pivot] = row
-        return True
+        row, _ = primitive(row)
+        while row:
+            pivot = max(row, key=self._key)
+            pivot_row = self.rows.get(pivot)
+            if pivot_row is None:
+                if row[pivot] < 0:
+                    row = {e: -c for e, c in row.items()}
+                self.rows[pivot] = row
+                return True
+            row = _cancel(row, pivot_row, pivot)[0]
+        return False
 
     def subspace(self, num_vars: int, degree: int) -> Subspace:
         pivots = sorted(self.rows, key=self._key, reverse=True)
@@ -280,7 +291,7 @@ def random_subspace(
         raise ValueError(f"dim {dim} out of range 0..{ambient}")
     rng = random.Random(seed)
     echelon = RowEchelon(order)
-    while echelon.rank < dim:
+    while len(echelon.rows) < dim:
         echelon.add(integer_row(random_form(rng, num_vars, degree, bound))[0])
     return echelon.subspace(num_vars, degree)
 

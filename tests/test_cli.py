@@ -278,3 +278,36 @@ def test_invariant_checks_survive_optimized_mode():
     )
     assert result.returncode != 0
     assert "InvariantError: inexact integer division" in result.stderr
+
+
+def test_gcd_form_with_leading_minus(capsys):
+    # argparse takes the form for an option; the error names both ways round it
+    code, out, err = invoke(capsys, ["gcd", "--vars", "3", "-2*x1^2+2*x2^2", "x1*x3"])
+    assert code == 3 and out == ""
+    assert "follow '--'" in err and "--hyperplane=" in err
+    code, out, _ = invoke(capsys, ["gcd", "--vars", "3", "--", "-2*x1^2+2*x1*x2", "x1*x3"])
+    assert code == 0
+    assert json.loads(out) == {"gcd": "x1", "degree": 1}
+
+
+def test_restrict_hyperplane_with_leading_minus(capsys, quadrics_file):
+    code, out, err = invoke(capsys, ["restrict", "--hyperplane", "-x1+x3", quadrics_file])
+    assert code == 3 and out == ""
+    assert "follow '--'" in err and "--hyperplane=" in err
+    code, out, _ = invoke(capsys, ["restrict", "--hyperplane=-x1+x3", quadrics_file])
+    assert code == 0
+    assert json.loads(out) == json.loads(invoke(capsys, ["restrict", "--hyperplane", "x1-x3", quadrics_file])[1])
+
+
+def test_hilbert_negative_dmax_exits_three(capsys):
+    code, out, err = invoke(capsys, ["hilbert", "--vars", "3", "--dmax", "-2", "x1"])
+    assert code == 3 and out == ""
+    assert "dmax must be nonnegative" in err
+
+
+def test_gin_ideal_oversized_piece_exits_three(tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("s=5\nx1^2 + 3*x2*x5 - x4^2\nx1*x3 - 2*x5^2\nx2^2 + x3*x4\n")
+    result = _ginalg(["gin-ideal", "--dmax", "40", str(path)])
+    assert result.returncode == 3 and result.stdout == ""
+    assert "s=5, d=40 has 135751 monomials" in result.stderr

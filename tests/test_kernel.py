@@ -4,6 +4,10 @@ Substitution (`apply_change`, `restrict`, `transform_subspace`,
 `restrict_subspace`), elimination (`echelonize`, `reduce_form`) and the
 spanning rows of `ideal_graded_piece` must give exactly the reference
 results: reduced echelon form is unique, so bases compare for equality.
+
+Elimination is forward only; the back-substitution to canonical rows runs
+once, when a Subspace's `rows` are first read, and pivot-only reads never
+run it.
 """
 
 import random
@@ -17,6 +21,7 @@ from ginalg import (
     Form,
     echelonize,
     ideal_graded_piece,
+    initial_subspace,
     monomials_of_degree,
     random_form,
     random_subspace,
@@ -25,6 +30,8 @@ from ginalg import (
     restrict_subspace,
     transform_subspace,
 )
+from ginalg import forms as forms_module
+from ginalg import subspaces
 from ginalg.forms import ORDER_NAMES
 from oracles import (
     oracle_apply_change,
@@ -66,9 +73,9 @@ def _linear(rng, s):
     return h * Fraction(1, rng.randint(1, 4))
 
 
-def _independent_and_dependent(rng, s, d, count):
+def _independent_and_dependent(rng, s, d, count, density=0.5):
     """count random forms, then combinations of them, zero forms and rescalings."""
-    forms = [_sparse_form(rng, s, d) for _ in range(count)]
+    forms = [_sparse_form(rng, s, d, density=density) for _ in range(count)]
     extra = [
         forms[0] * Fraction(-3, 2),
         forms[0] + forms[-1] * 5 if count > 1 else forms[0],
@@ -81,15 +88,20 @@ def _independent_and_dependent(rng, s, d, count):
 @pytest.mark.parametrize("order,s", CASES)
 def test_echelonize_matches_reference(order, s):
     rng = random.Random(1000 * s + len(order))
-    for d in (2, 3):
-        forms = _independent_and_dependent(rng, s, d, 4 + s)
+    for density, d in [(0.5, 2), (0.5, 3), (0.5, 4), (1.0, 2), (1.0, 3), (1.0, 4)]:
+        forms = _independent_and_dependent(rng, s, d, 4 + s, density)
         expected = oracle_echelonize(forms, order, s, d)
-        assert echelonize(forms, order, num_vars=s, degree=d) == expected
+        got = echelonize(forms, order, num_vars=s, degree=d)
+        # the hash reads only the pivots, before and after the rows are built
+        pivot_hash = hash(got)
+        assert got == expected and hash(got) == pivot_hash == hash(expected)
         for _ in range(3):
             shuffled = forms[:]
             rng.shuffle(shuffled)
             scaled = [f * Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)) for f in shuffled]
-            assert echelonize(scaled, order, num_vars=s, degree=d) == expected
+            other = echelonize(scaled, order, num_vars=s, degree=d)
+            assert hash(other) == pivot_hash
+            assert other == expected
 
 
 @pytest.mark.parametrize("order,s", CASES)
@@ -129,7 +141,7 @@ def test_restrict_subspace_matches_reference(order, s):
 def test_ideal_graded_piece_matches_reference(order, s):
     rng = random.Random(5000 * s + len(order))
     gens = [_sparse_form(rng, s, 2, density=0.4) for _ in range(2)] + [_sparse_form(rng, s, 3, density=0.3)]
-    for d in (2, 3, 4 if s < 5 else 3):
+    for d in (2, 3, 4, 5 if s < 5 else 4):
         assert ideal_graded_piece(gens, d, order, s) == oracle_ideal_graded_piece(gens, d, order, s)
 
 
@@ -163,6 +175,63 @@ def test_basis_is_the_monic_reference_basis(order, s):
         assert list(got.basis) == monic
         assert got.basis is got.basis
         assert [f.terms[p] for f, p in zip(got.basis, got.leading_monomials())] == [1] * got.dim
+
+
+@pytest.mark.parametrize("order", ORDER_NAMES)
+def test_pivot_reads_skip_back_substitution(order, monkeypatch):
+    rng = random.Random(7000 + len(order))
+    s, d = 4, 3
+    space = echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d)
+    change = _change(rng, s, rational=True)
+    gens = [_sparse_form(rng, s, 2) for _ in range(2)]
+    calls = []
+    back_substitute = subspaces._back_substitute
+    monkeypatch.setattr(subspaces, "_back_substitute", lambda echelon: calls.append(1) or back_substitute(echelon))
+    results = [
+        echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d),
+        transform_subspace(space, change),
+        restrict_subspace(space, _linear(rng, s)),
+        ideal_graded_piece(gens, d, order, s),
+    ]
+    for space_ in results:
+        calls.clear()
+        pivots = space_.leading_monomials()
+        assert space_.dim == len(pivots)
+        assert initial_subspace(space_).exps == frozenset(pivots)
+        pivot_hash = hash(space_)
+        assert calls == []
+        rows = space_.rows
+        assert space_.rows is rows and tuple(rows) == pivots
+        space_.basis
+        assert calls == [1]
+        assert hash(space_) == pivot_hash and space_.leading_monomials() == pivots
+
+
+@pytest.mark.parametrize("order", ORDER_NAMES)
+def test_sparse_high_degree_never_enumerates_the_piece(order, monkeypatch):
+    """Degree-20 binomials in 10 variables: about 10M monomials of that degree,
+    so a kernel that listed them would not finish."""
+
+    def refuse(num_vars, degree):
+        raise AssertionError(f"listed all monomials of degree {degree} in {num_vars} variables")
+
+    monkeypatch.setattr(subspaces, "monomials_of_degree", refuse)
+    monkeypatch.setattr(forms_module, "monomials_of_degree", refuse)
+    rng = random.Random(8000 + len(order))
+    s, d = 10, 20
+
+    def monomial():
+        cuts = sorted(rng.randint(0, d) for _ in range(s - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+    chain = [monomial() for _ in range(7)]
+    # x^a1 - x^a2, x^a2 - x^a3, ... are independent; the sum of two is not
+    binomials = [Form(s, d, {a: 1, b: -1}) for a, b in zip(chain, chain[1:])]
+    space = echelonize(binomials + [binomials[0] + binomials[1] * 3], order)
+    assert space.dim == len(binomials) and len(space.rows) == space.dim
+    restricted = restrict_subspace(space, Form.variable(s, s) - Form.variable(s, s - 1))
+    assert restricted.num_vars == s - 1 and 0 < restricted.dim <= space.dim
+    assert len(restricted.basis) == restricted.dim
 
 
 @pytest.mark.parametrize("seed", range(6))
