@@ -1,10 +1,11 @@
 """Common-factor extraction and the main-theorem verification pipeline.
 
-The multivariate GCD works over a recursive dense integer representation
-with primitive pseudo-remainder sequences: the main variable is the
-lowest-index variable present in both inputs, contents are handled
-recursively, and no modular reconstruction is involved.  Everything stays
-exact.
+The multivariate GCD runs on the kernel's integer rows with primitive
+pseudo-remainder sequences: the main variable is the lowest-index variable
+present in both inputs, contents are gcds of coefficient rows, taken
+recursively, and primitive parts are exact quotients (`forms.divide_rows`,
+the division `try_divide` uses).  No modular reconstruction is involved.
+Everything stays exact.
 """
 
 from __future__ import annotations
@@ -12,17 +13,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .forms import (
     REVLEX,
-    Exponent,
     Form,
     InvariantError,
+    Row,
+    divide_rows,
     format_form,
     integer_row,
     monomials_of_degree,
+    multiply_rows,
     normalize_form,
     try_divide,
 )
@@ -37,175 +40,77 @@ from .subspaces import (
     restrict_subspace,
 )
 
-# -- recursive dense integer polynomials -------------------------------------
-#
-# level 0 is an int; level k >= 1 is a list of level-(k-1) coefficients
-# indexed by the exponent of that level's variable, trailing zeros trimmed.
-# The zero polynomial is [] at every positive level.
+# -- gcd on integer rows --------------------------------------------------------
 
 
-def _zero(lev: int):
-    return 0 if lev == 0 else []
+def _exact_quotient(f: Row, g: Row) -> Row:
+    """f / g in Z[x] for a g known to divide f."""
+    quotient = divide_rows(f, g)
+    if quotient is None:
+        raise InvariantError("inexact integer division")
+    return quotient
 
 
-def _one(lev: int):
-    return 1 if lev == 0 else [_one(lev - 1)]
+def _coefficients(f: Row, v: int) -> dict[int, Row]:
+    """f as a polynomial in x_v: each power of x_v mapped to its coefficient row
+    (entries with the x_v exponent set to 0)."""
+    out: dict[int, Row] = {}
+    for e, c in f.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
+    return out
 
 
-def _is_zero(p, lev: int) -> bool:
-    return p == 0 if lev == 0 else len(p) == 0
+def _content(f: Row, v: int) -> Row:
+    """The gcd of f's coefficient rows in x_v."""
+    return reduce(_gcd, _coefficients(f, v).values())
 
 
-def _trim(p: list, lev: int) -> list:
-    while p and _is_zero(p[-1], lev - 1):
-        p.pop()
-    return p
+def _pseudo_remainder(f: Row, g: Row, v: int) -> Row:
+    """A pseudo-remainder of f by g in x_v.
 
-
-def _add(p, q, lev: int):
-    if lev == 0:
-        return p + q
-    out = [_zero(lev - 1)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] = c
-    for i, c in enumerate(q):
-        out[i] = _add(out[i], c, lev - 1)
-    return _trim(out, lev)
-
-
-def _neg(p, lev: int):
-    if lev == 0:
-        return -p
-    return [_neg(c, lev - 1) for c in p]
-
-
-def _sub(p, q, lev: int):
-    return _add(p, _neg(q, lev), lev)
-
-
-def _mul(p, q, lev: int):
-    if lev == 0:
-        return p * q
-    if not p or not q:
-        return []
-    out = [_zero(lev - 1)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if _is_zero(a, lev - 1):
-            continue
-        for j, b in enumerate(q):
-            if _is_zero(b, lev - 1):
-                continue
-            out[i + j] = _add(out[i + j], _mul(a, b, lev - 1), lev - 1)
-    return _trim(out, lev)
-
-
-def _mul_coeff(p: list, c, lev: int) -> list:
-    """Multiply a level-lev polynomial by a level-(lev-1) coefficient."""
-    return _trim([_mul(entry, c, lev - 1) for entry in p], lev)
-
-
-def _shift(p: list, k: int, lev: int) -> list:
-    return [_zero(lev - 1)] * k + p if p else []
-
-
-def _div_coeff_exact(p, q, lev: int):
-    """Exact division, InvariantError when inexact; q is level-lev like p."""
-    if lev == 0:
-        if q == 0 or p % q:
-            raise InvariantError("inexact integer division")
-        return p // q
-    if not p:
-        return []
-    n, m = len(p) - 1, len(q) - 1
-    if n < m:
-        raise InvariantError("inexact polynomial division")
-    quotient = [_zero(lev - 1)] * (n - m + 1)
-    rest = list(p)
-    for k in range(n - m, -1, -1):
-        _trim(rest, lev)
-        if len(rest) - 1 == m + k:
-            c = _div_coeff_exact(rest[-1], q[-1], lev - 1)
-            quotient[k] = c
-            rest = _sub(rest, _mul_coeff(_shift(q, k, lev), c, lev), lev)
-    if not _is_zero(_trim(rest, lev), lev):
-        raise InvariantError("inexact polynomial division")
-    return _trim(quotient, lev)
-
-
-def _content(p: list, lev: int):
-    acc = _zero(lev - 1)
-    for c in p:
-        acc = _gcd_rec(acc, c, lev - 1)
-    return acc
-
-
-def _primitive(p: list, lev: int) -> list:
-    c = _content(p, lev)
-    return [_div_coeff_exact(entry, c, lev - 1) for entry in p]
-
-
-def _prem(f: list, g: list, lev: int) -> list:
-    """Pseudo-remainder of f by g in the main variable.
-
-    Each reduction step scales the remainder by lc(g); the caller takes
-    primitive parts immediately, so the exact scaling power is irrelevant.
+    Each step scales the remainder by the leading coefficient of g; callers
+    take primitive parts at once, so the power it is raised to is irrelevant.
     """
-    lead = g[-1]
-    m = len(g) - 1
-    rest = list(f)
-    while rest and len(rest) - 1 >= m:
-        delta = len(rest) - 1 - m
-        rest = _sub(_mul_coeff(rest, lead, lev), _mul_coeff(_shift(g, delta, lev), rest[-1], lev), lev)
+    g_coefficients = _coefficients(g, v)
+    m = max(g_coefficients)
+    lead = g_coefficients[m]
+    rest = f
+    while rest:
+        k = max(e[v] for e in rest)
+        if k < m:
+            break
+        # rest's coefficient of x_v^k, times x_v^(k - m)
+        top = {e[:v] + (k - m,) + e[v + 1 :]: c for e, c in rest.items() if e[v] == k}
+        rest = multiply_rows(rest, lead)
+        for e, c in multiply_rows(g, top).items():
+            value = rest.get(e, 0) - c
+            if value:
+                rest[e] = value
+            else:
+                del rest[e]
     return rest
 
 
-def _gcd_rec(p, q, lev: int):
-    if lev == 0:
-        return math.gcd(p, q)
-    if _is_zero(p, lev):
-        return q
-    if _is_zero(q, lev):
-        return p
-    if len(p) == 1 and len(q) == 1:
-        return [_gcd_rec(p[0], q[0], lev - 1)]
-    if len(p) == 1:
-        return [_gcd_rec(p[0], _content(q, lev), lev - 1)]
-    if len(q) == 1:
-        return [_gcd_rec(q[0], _content(p, lev), lev - 1)]
-    cp, cq = _content(p, lev), _content(q, lev)
-    a, b = _primitive(p, lev), _primitive(q, lev)
-    if len(a) < len(b):
+def _variables(f: Row) -> set[int]:
+    return {i for e in f for i, x in enumerate(e) if x}
+
+
+def _gcd(f: Row, g: Row) -> Row:
+    """A gcd of two nonzero rows in Z[x], up to sign, by the primitive
+    pseudo-remainder sequence in the first variable present in both."""
+    shared = _variables(f) & _variables(g)
+    if not shared:
+        # a common divisor has only shared variables, so it is a constant
+        return {(0,) * len(next(iter(f))): math.gcd(*f.values(), *g.values())}
+    v = min(shared)
+    f_content, g_content = _content(f, v), _content(g, v)
+    a, b = _exact_quotient(f, f_content), _exact_quotient(g, g_content)
+    if max(e[v] for e in a) < max(e[v] for e in b):
         a, b = b, a
-    while not _is_zero(b, lev):
-        r = _prem(a, b, lev)
-        if not _is_zero(r, lev):
-            r = _primitive(r, lev)
-        a, b = b, r
-    return _mul_coeff(_primitive(a, lev), _gcd_rec(cp, cq, lev - 1), lev)
-
-
-def _build_rec(items: list[tuple[tuple[int, ...], int]], depth: int):
-    if depth == 0:
-        return sum(c for _, c in items)
-    groups: dict[int, list] = {}
-    for exps, c in items:
-        groups.setdefault(exps[0], []).append((exps[1:], c))
-    if not groups:
-        return []
-    out = [_zero(depth - 1)] * (max(groups) + 1)
-    for e, sub in groups.items():
-        out[e] = _build_rec(sub, depth - 1)
-    return _trim(out, depth)
-
-
-def _rec_terms(p, lev: int):
-    if lev == 0:
-        if p != 0:
-            yield (), p
-        return
-    for i, c in enumerate(p):
-        for suffix, value in _rec_terms(c, lev - 1):
-            yield (i,) + suffix, value
+    while b:
+        r = _pseudo_remainder(a, b, v)
+        a, b = b, _exact_quotient(r, _content(r, v)) if r else r
+    return multiply_rows(a, _gcd(f_content, g_content))
 
 
 def gcd_forms(f: Form, g: Form) -> Form:
@@ -218,24 +123,7 @@ def gcd_forms(f: Form, g: Form) -> Form:
     if g.is_zero():
         return normalize_form(f)
     f._check_ring(g)
-    s = f.num_vars
-    shared = f.variables_present() & g.variables_present()
-    if not shared:
-        # every variable of a common divisor appears in both inputs
-        return Form.one(s)
-    main = min(shared)
-    var_order = [main] + sorted((f.variables_present() | g.variables_present()) - {main})
-    levels = len(var_order)
-    fi = [(tuple(e[v] for v in var_order), c) for e, c in integer_row(f)[0].items()]
-    gi = [(tuple(e[v] for v in var_order), c) for e, c in integer_row(g)[0].items()]
-    h = _gcd_rec(_build_rec(fi, levels), _build_rec(gi, levels), levels)
-    terms: dict[Exponent, Fraction] = {}
-    for packed, value in _rec_terms(h, levels):
-        exps = [0] * s
-        for v, e in zip(var_order, packed):
-            exps[v] = e
-        terms[tuple(exps)] = Fraction(value)
-    return normalize_form(Form.from_terms(s, terms))
+    return normalize_form(Form.from_terms(f.num_vars, _gcd(integer_row(f)[0], integer_row(g)[0])))
 
 
 # -- common factors of subspaces ----------------------------------------------

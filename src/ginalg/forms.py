@@ -8,13 +8,15 @@ function of its inputs.
 Coordinate changes and restrictions run on primitive integer rows (see
 `sym_power`): the substitution is scaled to integers, every monomial's
 image is built once per call, and Fractions appear only in the Form
-returned.
+returned.  Exact division (`try_divide`, and the GCD in `factors`) runs on
+the same rows, through `multiply_rows` and `divide_rows` in Z[x].
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -174,15 +176,6 @@ class Form:
 
     def coefficient(self, exps: Exponent) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def variables_present(self) -> set[int]:
-        """0-based indices of variables appearing with positive exponent."""
-        present: set[int] = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    present.add(i)
-        return present
 
     # -- arithmetic --------------------------------------------------------
 
@@ -346,6 +339,45 @@ def form_from_row(num_vars: int, degree: int, row: Row, scale: int | Fraction) -
     return Form(num_vars, degree, {e: Fraction(c, scale) for e, c in row.items()})
 
 
+def multiply_rows(a: Row, b: Row) -> Row:
+    out: Row = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def divide_rows(f: Row, g: Row) -> Row | None:
+    """The quotient f / g in Z[x], or None when it is not a polynomial with
+    integer entries; g is nonzero.
+
+    Division by leading terms under lex, which is the order `max` gives on
+    exponent tuples and a monomial order on all of Z[x].
+    """
+    lead = max(g)
+    rest = dict(f)
+    quotient: Row = {}
+    while rest:
+        top = max(rest)
+        shift = tuple(map(sub, top, lead))
+        # a 0-variable row has empty exponents, so no min() here
+        if any(e < 0 for e in shift):
+            return None
+        c, remainder = divmod(rest[top], g[lead])
+        if remainder:
+            return None
+        quotient[shift] = c
+        for e, v in g.items():
+            e = tuple(map(add, e, shift))
+            value = rest.get(e, 0) - c * v
+            if value:
+                rest[e] = value
+            else:
+                del rest[e]
+    return quotient
+
+
 def change_images(change: CoordinateChange) -> tuple[LinearImages, int]:
     """The change scaled by the common denominator D of its entries, and D.
 
@@ -444,29 +476,20 @@ def restrict(f: Form, linear: Form) -> Form:
 def try_divide(f: Form, divisor: Form) -> Form | None:
     """Exact quotient f / divisor, or None when the division is not exact.
 
-    Monomial long division; for homogeneous inputs under a multiplicative
-    order the remainder vanishes iff the divisor divides f.
+    The primitive integer rows are divided in Z[x]: by Gauss's lemma their
+    quotient over Q, when there is one, has integer entries.
     """
     if divisor.is_zero():
         raise ValueError("division by the zero form")
     f._check_ring(divisor)
     if f.is_zero():
         return Form.zero(f.num_vars, max(f.degree - divisor.degree, 0))
-    if f.degree < divisor.degree:
+    row, scale = integer_row(f)
+    divisor_row, divisor_scale = integer_row(divisor)
+    quotient = divide_rows(row, divisor_row)
+    if quotient is None:
         return None
-    lead_d = initial_monomial(divisor, REVLEX)
-    lead_c = divisor.terms[lead_d]
-    quotient: dict[Exponent, Fraction] = {}
-    rest = f
-    while not rest.is_zero():
-        lead_r = initial_monomial(rest, REVLEX)
-        q_exps = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(e < 0 for e in q_exps):
-            return None
-        q_coeff = rest.terms[lead_r] / lead_c
-        quotient[q_exps] = q_coeff
-        rest = rest - Form.monomial(f.num_vars, q_exps, q_coeff) * divisor
-    return Form(f.num_vars, f.degree - divisor.degree, quotient)
+    return form_from_row(f.num_vars, f.degree - divisor.degree, quotient, scale / divisor_scale)
 
 
 # -- text format ------------------------------------------------------------

@@ -134,6 +134,10 @@ def parse_ideal(text: str, num_vars: int) -> MonomialIdeal:
 
 # -- candidate enumeration ---------------------------------------------------
 
+# most monomial sets one degree of the enumeration may test (2 vCPU: 324632 sets in 0.8 s,
+# 1623160 in 4.0 s; the inputs of the tests and the demo test at most 20)
+MAX_EXTENSION_SUBSETS = 1_000_000
+
 
 def _shift_up(monomials: set, num_vars: int) -> set:
     """All products of the given monomials with one variable."""
@@ -151,6 +155,12 @@ def _borel_closed_extensions(base: set, degree: int, size: int, num_vars: int):
     pool = [m for m in monomials_of_degree(num_vars, degree) if m not in base]
     if size - len(base) > len(pool):
         return
+    count = comb(len(pool), size - len(base))
+    if count > MAX_EXTENSION_SUBSETS:
+        raise ValueError(
+            f"enumeration too large: degree {degree} has {count} sets of {size - len(base)} "
+            f"out of {len(pool)} monomials to test (limit {MAX_EXTENSION_SUBSETS})"
+        )
     for extra in combinations(pool, size - len(base)):
         candidate = base | set(extra)
         if _is_borel_closed(candidate, candidate.__contains__):

@@ -42,9 +42,9 @@ from .forms import (
 
 
 class Subspace:
-    """A subspace of one graded piece, from echelon rows (canonical or not) that map each pivot,
-    in descending order, to its primitive integer row.  `rows` (canonical) and `basis` (monic
-    at each pivot) are built on first read and kept."""
+    """A subspace of one graded piece, from echelon rows (canonical or not) that map each pivot
+    to its primitive integer row.  The pivots are kept in descending order; `rows` (canonical)
+    and `basis` (monic at each pivot) are built on first read and kept."""
 
     __slots__ = ("num_vars", "degree", "order", "_pivots", "_echelon", "_rows", "_basis")
 
@@ -52,8 +52,8 @@ class Subspace:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_pivots", tuple(rows))
-        object.__setattr__(self, "_echelon", rows)
+        object.__setattr__(self, "_pivots", tuple(sort_monomials(order, rows)))
+        object.__setattr__(self, "_echelon", {p: rows[p] for p in self._pivots})
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_basis", None)
 
@@ -195,8 +195,7 @@ class RowEchelon:
         return False
 
     def subspace(self, num_vars: int, degree: int) -> Subspace:
-        pivots = sorted(self.rows, key=self._key, reverse=True)
-        return Subspace(num_vars, degree, self.order, {p: self.rows[p] for p in pivots})
+        return Subspace(num_vars, degree, self.order, self.rows)
 
 
 def echelonize(

@@ -272,7 +272,7 @@ def test_invariant_failure_exits_one(capsys, monkeypatch):
 def test_invariant_checks_survive_optimized_mode():
     # python -O strips assert statements; the exact-division check must still raise
     result = subprocess.run(
-        [sys.executable, "-O", "-c", "from ginalg.factors import _div_coeff_exact; _div_coeff_exact(3, 2, 0)"],
+        [sys.executable, "-O", "-c", "from ginalg.factors import _exact_quotient; _exact_quotient({(): 3}, {(): 2})"],
         capture_output=True,
         text=True,
     )
@@ -303,6 +303,18 @@ def test_hilbert_negative_dmax_exits_three(capsys):
     code, out, err = invoke(capsys, ["hilbert", "--vars", "3", "--dmax", "-2", "x1"])
     assert code == 3 and out == ""
     assert "dmax must be nonnegative" in err
+
+
+def test_hilbert_too_many_monomials_exits_three():
+    result = _ginalg(["hilbert", "--vars", "6", "--dmax", "40", "x1^2"])
+    assert result.returncode == 3 and result.stdout == ""
+    assert "s=6 has 9366819 of degree at most 40" in result.stderr
+
+
+def test_enumerate_too_many_subsets_exits_three():
+    result = _ginalg(["enumerate", "--vars", "5", "--dmax", "4", "--hf", "1,5,15,35,62,90"])
+    assert result.returncode == 3 and result.stdout == ""
+    assert "degree 4 has 23535820 sets of 8 out of 35 monomials" in result.stderr
 
 
 def test_gin_ideal_oversized_piece_exits_three(tmp_path):

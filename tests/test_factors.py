@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,14 +11,17 @@ from ginalg import (
     detect_gin_shape,
     divide_subspace,
     echelonize,
+    format_form,
     full_graded_piece,
     gcd_forms,
     hyperplane_factor_probe,
     make_instance,
+    monomials_of_degree,
     normalize_form,
     parse_form,
     random_form,
     random_subspace,
+    try_divide,
     verify_main_theorem,
 )
 from oracles import oracle_gcd
@@ -81,6 +85,71 @@ def test_gcd_common_multiplier_scales():
         base = gcd_forms(f, g)
         lifted = gcd_forms(f * c, g * c)
         assert lifted == normalize_form(base * c)
+
+
+def _random_form(rng, s, degree, bound, density):
+    terms = {e: Fraction(rng.randint(-bound, bound)) for e in monomials_of_degree(s, degree) if rng.random() < density}
+    return Form(s, degree, terms)
+
+
+def _sympy_gcd(f, g):
+    """sympy's gcd, normalized the way gcd_forms normalizes."""
+    sympy = pytest.importorskip("sympy")
+    num_vars = f.num_vars
+    f, g = (sympy.sympify(format_form(h).replace("^", "**")) for h in (f, g))
+    h = sympy.Poly(sympy.gcd(f, g), *sympy.symbols(f"x1:{num_vars + 1}"))
+    return normalize_form(Form.from_terms(num_vars, {m: Fraction(int(c.p), int(c.q)) for m, c in h.terms()}))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("density", [1.0, 0.4])
+def test_gcd_matches_sympy(s, density):
+    rng = random.Random(100 * s + int(10 * density))
+    checked = 0
+    while checked < 8:
+        if checked % 2:
+            c = _random_form(rng, s, rng.randint(1, 2), 9, density)
+            f = _random_form(rng, s, rng.randint(0, 2), 9, density) * c
+            g = _random_form(rng, s, rng.randint(0, 2), 9, density) * c
+        else:
+            # coprime cubics in five variables take minutes: the contents of the
+            # remainders are gcds of ever larger coefficient rows
+            top = 3 if s < 5 else 2
+            f = _random_form(rng, s, rng.randint(1, top), 9, density)
+            g = _random_form(rng, s, rng.randint(1, top), 9, density)
+        if f.is_zero() or g.is_zero():
+            continue
+        if checked % 4 == 3:
+            f, g = f * Fraction(rng.randint(1, 9), rng.randint(2, 9)), g * Fraction(-1, rng.randint(2, 9))
+        assert gcd_forms(f, g) == _sympy_gcd(f, g)
+        checked += 1
+
+
+def test_gcd_of_constants_matches_sympy():
+    for f, g in [(F("6", 2), F("4", 2)), (F("3/2", 3), F("x1*x2 - x3^2", 3)), (F("-2*x1", 2), F("4*x1", 2))]:
+        assert gcd_forms(f, g) == _sympy_gcd(f, g)
+
+
+def test_zero_variable_forms():
+    six, four = Form.monomial(0, (), 6), Form.monomial(0, (), 4)
+    assert gcd_forms(six, four) == Form.one(0)
+    assert gcd_forms(six, Form.zero(0, 0)) == Form.one(0)
+    assert try_divide(four, six) == Form.monomial(0, (), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_try_divide_exact_products(s):
+    rng = random.Random(s)
+    for density in (1.0, 0.4):
+        for _ in range(6):
+            f = _random_form(rng, s, rng.randint(0, 3), 9, density) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            p = _random_form(rng, s, rng.randint(0, 2), 9, density)
+            if p.is_zero():
+                continue
+            assert try_divide(f * p, p) == f
+    assert try_divide(F("x1^2 + x2^2", 2), F("x1 + x2", 2)) is None
+    assert try_divide(F("x1*x2", 2), F("x1^2", 2)) is None
+    assert try_divide(F("x1", 2), F("x1^2", 2)) is None
 
 
 # -- common factor and division --------------------------------------------------

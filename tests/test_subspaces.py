@@ -8,6 +8,7 @@ from ginalg import (
     REVLEX,
     CoordinateChange,
     Form,
+    Subspace,
     contains,
     echelonize,
     full_graded_piece,
@@ -57,6 +58,16 @@ def test_echelonize_canonical_under_shuffle_and_scale():
         again = echelonize(scaled)
         assert again == reference
         assert again.basis == reference.basis  # bit-equal canonical form
+
+
+def test_subspace_rows_in_any_pivot_order():
+    descending = Subspace(2, 1, REVLEX, {(1, 0): {(1, 0): 1}, (0, 1): {(0, 1): 1}})
+    ascending = Subspace(2, 1, REVLEX, {(0, 1): {(0, 1): 1}, (1, 0): {(1, 0): 1}})
+    assert ascending == descending and hash(ascending) == hash(descending)
+    # unreduced echelon rows, smallest pivot first
+    unreduced = Subspace(2, 1, REVLEX, {(0, 1): {(0, 1): 1}, (1, 0): {(1, 0): 1, (0, 1): 1}})
+    assert unreduced.rows == descending.rows
+    assert unreduced == descending and hash(unreduced) == hash(descending)
 
 
 def test_initial_subspace():
