@@ -1,16 +1,15 @@
 """Common-factor extraction and the main-theorem verification pipeline.
 
-The multivariate GCD runs on the kernel's integer rows with primitive
-pseudo-remainder sequences: the main variable is the lowest-index variable
-present in both inputs, contents are gcds of coefficient rows, taken
-recursively, and primitive parts are exact quotients (`forms.divide_rows`,
-the division `try_divide` uses).  No modular reconstruction is involved.
-Everything stays exact.
+The multivariate GCD is linear algebra on the kernel's integer rows: the
+smallest-degree relation a*f = b*g among the shifted rows u*f and v*g,
+found with `RowEchelon`, gives the gcd as g / a, an exact quotient
+(`forms.divide_rows`, the division `try_divide` uses).  There is no
+modular step and no random choice.  Common factors and cofactor spaces are
+computed on a Subspace's canonical rows; Forms are built only for results.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -22,19 +21,18 @@ from .forms import (
     InvariantError,
     Row,
     divide_rows,
+    form_from_row,
     format_form,
     integer_row,
     monomials_of_degree,
     multiply_rows,
     normalize_form,
-    try_divide,
 )
 from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, GinReport, gin_subspace
 from .subspaces import (
     MonomialSet,
+    RowEchelon,
     Subspace,
-    contains,
-    echelonize,
     random_form,
     random_subspace,
     restrict_subspace,
@@ -51,66 +49,34 @@ def _exact_quotient(f: Row, g: Row) -> Row:
     return quotient
 
 
-def _coefficients(f: Row, v: int) -> dict[int, Row]:
-    """f as a polynomial in x_v: each power of x_v mapped to its coefficient row
-    (entries with the x_v exponent set to 0)."""
-    out: dict[int, Row] = {}
-    for e, c in f.items():
-        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
-    return out
-
-
-def _content(f: Row, v: int) -> Row:
-    """The gcd of f's coefficient rows in x_v."""
-    return reduce(_gcd, _coefficients(f, v).values())
-
-
-def _pseudo_remainder(f: Row, g: Row, v: int) -> Row:
-    """A pseudo-remainder of f by g in x_v.
-
-    Each step scales the remainder by the leading coefficient of g; callers
-    take primitive parts at once, so the power it is raised to is irrelevant.
-    """
-    g_coefficients = _coefficients(g, v)
-    m = max(g_coefficients)
-    lead = g_coefficients[m]
-    rest = f
-    while rest:
-        k = max(e[v] for e in rest)
-        if k < m:
-            break
-        # rest's coefficient of x_v^k, times x_v^(k - m)
-        top = {e[:v] + (k - m,) + e[v + 1 :]: c for e, c in rest.items() if e[v] == k}
-        rest = multiply_rows(rest, lead)
-        for e, c in multiply_rows(g, top).items():
-            value = rest.get(e, 0) - c
-            if value:
-                rest[e] = value
-            else:
-                del rest[e]
-    return rest
-
-
-def _variables(f: Row) -> set[int]:
-    return {i for e in f for i, x in enumerate(e) if x}
-
-
 def _gcd(f: Row, g: Row) -> Row:
-    """A gcd of two nonzero rows in Z[x], up to sign, by the primitive
-    pseudo-remainder sequence in the first variable present in both."""
-    shared = _variables(f) & _variables(g)
-    if not shared:
-        # a common divisor has only shared variables, so it is a constant
-        return {(0,) * len(next(iter(f))): math.gcd(*f.values(), *g.values())}
-    v = min(shared)
-    f_content, g_content = _content(f, v), _content(g, v)
-    a, b = _exact_quotient(f, f_content), _exact_quotient(g, g_content)
-    if max(e[v] for e in a) < max(e[v] for e in b):
-        a, b = b, a
-    while b:
-        r = _pseudo_remainder(a, b, v)
-        a, b = b, _exact_quotient(r, _content(r, v)) if r else r
-    return multiply_rows(a, _gcd(f_content, g_content))
+    """A gcd over Q of two nonzero rows, up to a constant factor (callers
+    normalize): g / a for the smallest-degree relation a*f = b*g.
+
+    With h = gcd(f, g), a relation of degree deg a = deg g - m exists iff
+    deg h >= m (a = g/h, b = f/h, times any form of degree deg h - m), so the
+    first m, sweeping down, with a relation is deg h.  There the relations
+    are the multiples of (g/h, f/h) for a primitive h, so the primitive one
+    has a = (g/h)/k for an integer k, and g / a = k*h is exact in Z[x].
+    """
+    num_vars, df, dg = len(next(iter(f))), sum(next(iter(f))), sum(next(iter(g)))
+    for m in range(min(df, dg), 0, -1):
+        a_shifts = monomials_of_degree(num_vars, dg - m)
+        shifted = [(u, f) for u in a_shifts] + [(v, g) for v in monomials_of_degree(num_vars, df - m)]
+        # every shifted row gets its own tag entry, which records the combination
+        # that reaches it; a tag's last exponent exceeds the product degree, so
+        # under revlex it sorts below every product monomial, and a row with a
+        # tag pivot has a zero product part: it is a relation a*f - b*g = 0
+        product_degree = df + dg - m
+        tags = [(0,) * (num_vars - 1) + (product_degree + 1 + j,) for j in range(len(shifted))]
+        echelon = RowEchelon(REVLEX)
+        for tag, (shift, row) in zip(tags, shifted):
+            echelon.add({**multiply_rows({shift: 1}, row), tag: 1})
+        relation = next((row for pivot, row in echelon.rows.items() if sum(pivot) > product_degree), None)
+        if relation is not None:
+            a = {u: relation[tag] for u, tag in zip(a_shifts, tags) if tag in relation}
+            return _exact_quotient(g, a)
+    return {(0,) * num_vars: 1}
 
 
 def gcd_forms(f: Form, g: Form) -> Form:
@@ -130,34 +96,35 @@ def gcd_forms(f: Form, g: Form) -> Form:
 
 
 def common_factor(space: Subspace) -> tuple[Form, int]:
-    """GCD over the echelon basis; (1, 0) when the forms are coprime."""
+    """GCD over the canonical rows; (1, 0) when the forms are coprime."""
     if space.dim == 0:
         raise ValueError("common factor of the zero subspace")
-    basis = space.basis
-    acc = basis[0]
-    for f in basis[1:]:
-        acc = gcd_forms(acc, f)
-        if acc.degree == 0:
-            break
-    return normalize_form(acc), acc.degree
+    factor = normalize_form(Form.from_terms(space.num_vars, reduce(_gcd, space.rows.values())))
+    return factor, factor.degree
 
 
 def divide_subspace(space: Subspace, divisor: Form) -> Subspace:
-    """Echelonized span of basis/divisor; every basis form must be divisible."""
+    """Echelonized span of the rows divided by divisor; every row must be divisible."""
     if divisor.is_zero():
         raise ValueError("cannot divide a subspace by zero")
-    quotients = []
-    for f in space.basis:
-        q = try_divide(f, divisor)
-        if q is None:
+    if divisor.num_vars != space.num_vars:
+        raise ValueError(f"forms over different variable counts: {space.num_vars} vs {divisor.num_vars}")
+    divisor_row = integer_row(divisor)[0]
+    echelon = RowEchelon(space.order)
+    for pivot, row in space.rows.items():
+        quotient = divide_rows(row, divisor_row)
+        if quotient is None:
+            f = form_from_row(space.num_vars, space.degree, row, row[pivot])
             raise ValueError(f"{format_form(divisor)} does not divide basis form {format_form(f)}")
-        quotients.append(q)
-    return echelonize(
-        quotients,
-        space.order,
-        num_vars=space.num_vars,
-        degree=space.degree - divisor.degree,
-    )
+        echelon.add(quotient)
+    return echelon.subspace(space.num_vars, space.degree - divisor.degree)
+
+
+def _multiply_subspace(space: Subspace, p: Form) -> Subspace:
+    """Echelonized span of the rows times p."""
+    p_row = integer_row(p)[0]
+    rows = (multiply_rows(w, p_row) for w in space.rows.values())
+    return RowEchelon(space.order, rows).subspace(space.num_vars, space.degree + p.degree)
 
 
 def detect_gin_shape(monomials: MonomialSet) -> tuple[int, int, int] | None:
@@ -255,26 +222,25 @@ def verify_main_theorem(
         return TheoremReport(STATUS_NOT_APPLICABLE, report, shape, None)
     r, n, m = shape
     factor, found_degree = common_factor(space)
-    replay = {
-        "basis": [format_form(f) for f in space.basis],
-        "gin": report.result.strings(),
-        "factor": format_form(factor),
-        "factor_degree": found_degree,
-        "expected_degree": m,
-        "seed": seed,
-        "trials": trials,
-        "bound": bound,
-    }
-    if found_degree < m:
-        return TheoremReport(STATUS_VIOLATION, report, shape, None, replay)
-    if found_degree > m:
-        # impossible for a genuinely generic gin: the detected m is maximal
-        replay["note"] = "factor degree exceeds the gin exponent; the gin draw was not generic"
+    if found_degree != m:
+        replay = {
+            "basis": [format_form(f) for f in space.basis],
+            "gin": report.result.strings(),
+            "factor": format_form(factor),
+            "factor_degree": found_degree,
+            "expected_degree": m,
+            "seed": seed,
+            "trials": trials,
+            "bound": bound,
+        }
+        if found_degree > m:
+            # impossible for a genuinely generic gin: the detected m is maximal
+            replay["note"] = "factor degree exceeds the gin exponent; the gin draw was not generic"
         return TheoremReport(STATUS_VIOLATION, report, shape, None, replay)
     cofactor = divide_subspace(space, factor)
-    checked = cofactor.dim == space.dim and all(
-        contains(space, w * factor) for w in cofactor.basis
-    )
+    # the products w*p are independent, so with equal dims they lie in V
+    # exactly when they span it
+    checked = cofactor.dim == space.dim and _multiply_subspace(cofactor, factor) == space
     certificate = FactorCertificate(factor, found_degree, cofactor, (space.num_vars, r, n, m), checked)
     return TheoremReport(STATUS_CERTIFICATE, report, shape, certificate)
 
@@ -297,10 +263,7 @@ def make_instance(
         p = random_form(rng, s, m, bound)
     dim_w = comb(n + r - 1, r - 1)
     cofactor = random_subspace(s, n, dim_w, seed=rng.getrandbits(32), bound=bound)
-    planted = echelonize(
-        [w * p for w in cofactor.basis], REVLEX, num_vars=s, degree=n + m
-    )
-    return planted, p, cofactor
+    return _multiply_subspace(cofactor, p), p, cofactor
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from ginalg import format_form, random_form
 from ginalg.cli import run
 
 
@@ -309,6 +311,13 @@ def test_hilbert_too_many_monomials_exits_three():
     result = _ginalg(["hilbert", "--vars", "6", "--dmax", "40", "x1^2"])
     assert result.returncode == 3 and result.stdout == ""
     assert "s=6 has 9366819 of degree at most 40" in result.stderr
+
+
+def test_gcd_of_coprime_dense_cubics_in_five_variables():
+    rng = random.Random(5)
+    f, g = (format_form(random_form(rng, 5, 3, 9)) for _ in range(2))
+    result = _ginalg(["gcd", "--vars", "5", "--text", "--", f, g])
+    assert result.returncode == 0 and result.stdout == "1\n"
 
 
 def test_enumerate_too_many_subsets_exits_three():

@@ -112,17 +112,25 @@ def test_gcd_matches_sympy(s, density):
             f = _random_form(rng, s, rng.randint(0, 2), 9, density) * c
             g = _random_form(rng, s, rng.randint(0, 2), 9, density) * c
         else:
-            # coprime cubics in five variables take minutes: the contents of the
-            # remainders are gcds of ever larger coefficient rows
-            top = 3 if s < 5 else 2
-            f = _random_form(rng, s, rng.randint(1, top), 9, density)
-            g = _random_form(rng, s, rng.randint(1, top), 9, density)
+            f = _random_form(rng, s, rng.randint(1, 3), 9, density)
+            g = _random_form(rng, s, rng.randint(1, 3), 9, density)
         if f.is_zero() or g.is_zero():
             continue
         if checked % 4 == 3:
             f, g = f * Fraction(rng.randint(1, 9), rng.randint(2, 9)), g * Fraction(-1, rng.randint(2, 9))
         assert gcd_forms(f, g) == _sympy_gcd(f, g)
         checked += 1
+
+
+def test_gcd_planted_factors_in_five_variables():
+    rng = random.Random(55)
+    for factor_degree in (2, 3):
+        for degree in (4, 5):
+            c = random_form(rng, 5, factor_degree, 9)
+            f = random_form(rng, 5, degree - factor_degree, 9) * c
+            g = random_form(rng, 5, degree - factor_degree, 9) * c
+            h = gcd_forms(f, g)
+            assert h == _sympy_gcd(f, g) and h.degree >= factor_degree
 
 
 def test_gcd_of_constants_matches_sympy():

@@ -296,6 +296,27 @@ def test_format_round_trip():
     assert format_form(Form.one(3)) == "1"
 
 
+def test_format_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def forms(draw):
+        num_vars, degree = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        monomials = monomials_of_degree(num_vars, degree)
+        coeff = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+        return Form(num_vars, degree, {e: draw(coeff) for e in monomials if draw(st.booleans())})
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(forms())
+    def check(f):
+        # "0" carries no degree, so the zero form comes back in degree 0
+        expected = Form.zero(f.num_vars, 0) if f.is_zero() else f
+        assert parse_form(format_form(f), f.num_vars) == expected
+
+    check()
+
+
 def test_normalize_form():
     f = F("2/3*x1^2 - 4/3*x2^2", 2)
     assert normalize_form(f) == F("x1^2 - 2*x2^2", 2)
