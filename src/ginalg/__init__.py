@@ -33,6 +33,7 @@ from .subspaces import (
     contains,
     echelonize,
     full_graded_piece,
+    initial_after_change,
     initial_subspace,
     random_form,
     random_subspace,

@@ -4,6 +4,14 @@ Genericity is probabilistic: each trial applies an independent random
 integer coordinate change and recomputes the initial subspace.  A dense
 open set of changes yields the true gin, so unanimous trials are strong
 evidence; disagreement is surfaced in the report, never hidden.
+
+A gin trial of a subspace reads only the pivots of the moved subspace gV,
+never its rows (`subspaces.initial_after_change`): the columns of gV are
+scanned in descending order, each computed from the transposed change
+through A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g), and the scan
+stops at the dim V-th independent column.  The pivots of an echelon form
+are exactly its greedy column basis, and every column is a nonzero
+integer multiple of the true one, so the outcome is the exact in(gV).
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .subspaces import (
     MonomialSet,
     RowEchelon,
     Subspace,
+    initial_after_change,
     initial_subspace,
     restrict_subspace,
     transform_subspace,
@@ -56,12 +65,15 @@ def random_change(num_vars: int, seed: int, bound: int = DEFAULT_BOUND) -> Coord
     """Uniform integer entries in [-bound, bound], re-drawn until invertible."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if num_vars < 1:
+        # CoordinateChange refuses an empty matrix, and the loop below would redraw forever
+        raise ValueError("need at least one variable")
     rng = random.Random(seed)
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(num_vars)] for _ in range(num_vars)]
         try:
             return CoordinateChange(rows)
-        except ValueError:
+        except ValueError:  # singular: redraw
             continue
 
 
@@ -86,14 +98,15 @@ def gin_subspace(
     seed: int = 0,
     bound: int = DEFAULT_BOUND,
 ) -> GinReport:
-    """Initial subspace after a random change, repeated over independent trials."""
+    """Initial subspace after a random change, repeated over independent trials.
+
+    Each trial computes only the pivots of the moved subspace, from its columns through
+    the transposed change, with exact integer arithmetic; the moved rows are never built.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     seeds = _trial_seeds(seed, trials)
-    outcomes = [
-        initial_subspace(transform_subspace(space, random_change(space.num_vars, ts, bound)))
-        for ts in seeds
-    ]
+    outcomes = [initial_after_change(space, random_change(space.num_vars, ts, bound)) for ts in seeds]
     winner, agreements = _majority(outcomes)
     return GinReport(winner, trials, agreements, seeds, agreements == trials)
 

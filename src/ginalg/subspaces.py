@@ -18,7 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, gcd
+from itertools import repeat
+from math import comb, factorial, gcd, prod
+from operator import mul
 from typing import Iterable
 
 from .forms import (
@@ -28,6 +30,7 @@ from .forms import (
     Form,
     LinearImages,
     Row,
+    _monomial_image,
     change_images,
     form_from_row,
     format_monomial,
@@ -259,6 +262,49 @@ def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
     if space.num_vars != change.num_vars:
         raise ValueError("subspace and coordinate change over different variable counts")
     return _span_of_images(space, change_images(change)[0], space.num_vars)
+
+
+def initial_after_change(space: Subspace, change: CoordinateChange) -> MonomialSet:
+    """in(gV) for the change g, equal to initial_subspace(transform_subspace(space, change)),
+    read from the columns of the moved rows without building the rows.
+
+    With A = Sym^d(g) the moved rows are R*A.  Expanding (x^T g y)^d in x and in y gives
+    A[u, m](g) = (u!/m!) * A[m, u](g^T), where u! is the product of the u_i!.  So column m
+    of R*A, times m!, has entry sum_u R[r][u] * u! * T_m[u] in row r, where T_m is the
+    image of m under the transposed substitution; a column's scale does not change the
+    pivots, and every number is an integer.  The pivots of an echelon form are its greedy
+    column basis: in descending order, a column is a pivot exactly when it is independent
+    of the columns before it.  So the scan stops at the dim-th pivot.
+    """
+    if space.num_vars != change.num_vars:
+        raise ValueError("subspace and coordinate change over different variable counts")
+    if not space.dim:
+        return MonomialSet(space.num_vars, space.degree, frozenset())
+    images, _ = change_images(change)
+    transposed: LinearImages = [[] for _ in images]
+    for i, image in enumerate(images):
+        for j, c in image:
+            transposed[j].append((i, c))
+    # each row as its monomials u and its entries times u!
+    scaled = [(list(row), [c * prod(map(factorial, u)) for u, c in row.items()]) for row in space.rows.values()]
+    one = (0,) * space.num_vars
+    table: dict[Exponent, Row] = {one: {one: 1}}
+    # a column is a row over one variable, entry r at the exponent (r,): the order serves
+    # only to test independence, and under revlex the smallest r is the pivot
+    columns = RowEchelon(REVLEX)
+    pivots: list[Exponent] = []
+    for m in sort_monomials(space.order, monomials_of_degree(space.num_vars, space.degree)):
+        image = _monomial_image(m, transposed, table)
+        column = {}
+        for r, (monomials, entries) in enumerate(scaled):
+            entry = sum(map(mul, entries, map(image.get, monomials, repeat(0))))
+            if entry:
+                column[(r,)] = entry
+        if columns.add(column):
+            pivots.append(m)
+            if len(pivots) == space.dim:
+                break
+    return MonomialSet(space.num_vars, space.degree, frozenset(pivots))
 
 
 def restrict_subspace(space: Subspace, linear: Form) -> Subspace:

@@ -210,6 +210,22 @@ def test_bounds_below_one_exit_three(quadrics_file, bound):
         assert "bound must be at least 1" in result.stderr, argv
 
 
+def test_zero_variables_exit_three(tmp_path):
+    # restricting an s=1 subspace leaves s=0, where no coordinate change can be drawn
+    one = tmp_path / "one.txt"
+    one.write_text("s=1 d=2 order=revlex\nx1^2\n")
+    result = _ginalg(["restrict", "--hyperplane", "x1", "--text", str(one)])
+    assert result.returncode == 0 and result.stdout == "s=0 d=2 order=revlex\n"
+    zero = tmp_path / "zero.txt"
+    zero.write_text(result.stdout)
+    constant = tmp_path / "constant.txt"
+    constant.write_text("s=0\n1\n")
+    for argv in (["gin", str(zero)], ["verify", str(zero)], ["gin-ideal", "--dmax", "2", str(constant)]):
+        result = _ginalg(argv)
+        assert result.returncode == 3 and result.stdout == "", argv
+        assert "need at least one variable" in result.stderr, argv
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_probe_without_trials_exits_three(capsys, quadrics_file, trials):
     code, out, err = invoke(capsys, ["probe", "--trials", trials, quadrics_file])

@@ -4,6 +4,9 @@ Substitution (`apply_change`, `restrict`, `transform_subspace`,
 `restrict_subspace`), elimination (`echelonize`, `reduce_form`) and the
 spanning rows of `ideal_graded_piece` must give exactly the reference
 results: reduced echelon form is unique, so bases compare for equality.
+`initial_after_change`, which reads in(gV) from columns without building
+gV, must give the pivots of `transform_subspace`; the pieces of an ideal
+must have the leading terms of sympy's grevlex Groebner basis.
 
 Elimination is forward only; the back-substitution to canonical rows runs
 once, when a Subspace's `rows` are first read, and pivot-only reads never
@@ -12,6 +15,7 @@ run it.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,9 +24,13 @@ from ginalg import (
     apply_change,
     Form,
     echelonize,
+    full_graded_piece,
+    gin_subspace,
     ideal_graded_piece,
+    initial_after_change,
     initial_subspace,
     monomials_of_degree,
+    random_change,
     random_form,
     random_subspace,
     reduce_form,
@@ -31,8 +39,9 @@ from ginalg import (
     transform_subspace,
 )
 from ginalg import forms as forms_module
+from ginalg import gin as gin_module
 from ginalg import subspaces
-from ginalg.forms import ORDER_NAMES
+from ginalg.forms import ORDER_NAMES, REVLEX, format_form
 from oracles import (
     oracle_apply_change,
     oracle_echelonize,
@@ -126,6 +135,94 @@ def test_transform_subspace_matches_reference(order, s, rational):
     assert transform_subspace(space, change) == oracle_echelonize(moved, order, s, d)
 
 
+def _after_change_oracle(space, change):
+    return initial_subspace(transform_subspace(space, change))
+
+
+@pytest.mark.parametrize("order", ORDER_NAMES)
+@pytest.mark.parametrize("s,d", [(s, d) for s in range(1, 6) for d in range(5)])
+def test_initial_after_change_matches_moved_subspace(order, s, d):
+    rng = random.Random(9000 + 10 * s + d + len(order))
+    ambient = comb(d + s - 1, s - 1)
+    spaces = [
+        echelonize([], order, num_vars=s, degree=d),
+        echelonize(
+            [_sparse_form(rng, s, d, density=0.3) for _ in range(max(1, ambient // 3))], order, num_vars=s, degree=d
+        ),
+        random_subspace(s, d, (ambient + 1) // 2, seed=rng.getrandbits(32), bound=3, order=order),
+        full_graded_piece(s, d, order),
+    ]
+    # bound 1 draws are often far from generic, so their pivots are not an initial segment
+    changes = [random_change(s, rng.getrandbits(32), bound=1) for _ in range(2)]
+    changes += [_change(rng, s, rational=False), _change(rng, s, rational=True)]
+    for space in spaces:
+        for change in changes:
+            assert initial_after_change(space, change) == _after_change_oracle(space, change)
+
+
+@pytest.mark.parametrize("order", ORDER_NAMES)
+@pytest.mark.parametrize("multiplier,factor_degree", [((0, 0, 0, 0, 2), 2), ((3, 0, 0, 0, 0), 1)])
+def test_initial_after_change_of_monomial_subspaces(order, multiplier, factor_degree):
+    """x5^2 * S_2 and x1^3 * S_1 in s=5, d=4: sparse rows whose moved pivots a greedy
+    scan reaches only after many dependent columns."""
+    rng = random.Random(9500 + sum(multiplier) + len(order))
+    monomials = [tuple(a + b for a, b in zip(multiplier, e)) for e in monomials_of_degree(5, factor_degree)]
+    space = echelonize([Form.monomial(5, e) for e in monomials], order)
+    changes = [random_change(5, seed, bound=1) for seed in range(3)] + [random_change(5, 7)]
+    changes += [_change(rng, 5, rational=True), CoordinateChange.identity(5)]
+    for change in changes:
+        got = initial_after_change(space, change)
+        assert got == _after_change_oracle(space, change) and len(got) == space.dim
+    assert initial_after_change(space, CoordinateChange.identity(5)).exps == frozenset(monomials)
+
+
+def test_initial_after_change_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        s = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(0, 3))
+        order = data.draw(st.sampled_from(ORDER_NAMES))
+        monomials = monomials_of_degree(s, d)
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        forms = data.draw(
+            st.lists(st.lists(coeff, min_size=len(monomials), max_size=len(monomials)), max_size=len(monomials))
+        )
+        space = echelonize([Form(s, d, dict(zip(monomials, cs))) for cs in forms], order, num_vars=s, degree=d)
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        matrix = data.draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=s, max_size=s))
+        try:
+            change = CoordinateChange(matrix)
+        except ValueError:
+            hypothesis.assume(False)
+        assert initial_after_change(space, change) == _after_change_oracle(space, change)
+
+    check()
+
+
+def test_gin_subspace_never_builds_the_moved_rows(monkeypatch):
+    space = random_subspace(4, 3, 6, seed=3)
+    seeds = gin_module._trial_seeds(5, 3)
+    expected = [_after_change_oracle(space, random_change(4, ts)) for ts in seeds]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the moved rows were built")
+
+    for module, name in [
+        (forms_module, "sym_power"),
+        (subspaces, "sym_power"),
+        (subspaces, "transform_subspace"),
+        (gin_module, "transform_subspace"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    report = gin_subspace(space, trials=3, seed=5)
+    assert report.seeds == seeds and report.stable
+    assert expected == [report.result] * 3
+
+
 @pytest.mark.parametrize("order,s", CASES)
 def test_restrict_subspace_matches_reference(order, s):
     rng = random.Random(4000 * s + len(order))
@@ -143,6 +240,28 @@ def test_ideal_graded_piece_matches_reference(order, s):
     gens = [_sparse_form(rng, s, 2, density=0.4) for _ in range(2)] + [_sparse_form(rng, s, 3, density=0.3)]
     for d in (2, 3, 4, 5 if s < 5 else 4):
         assert ideal_graded_piece(gens, d, order, s) == oracle_ideal_graded_piece(gens, d, order, s)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_ideal_graded_piece_matches_sympy_groebner(s):
+    """in(I)_d is spanned by the degree-d multiples of the leading monomials of a
+    Groebner basis; within one degree grevlex is this package's revlex."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9900 + s)
+    symbols = sympy.symbols(f"x1:{s + 1}")
+    generator_sets = [
+        [random_form(rng, s, 2, 9) for _ in range(3)],
+        [_sparse_form(rng, s, 2, density=0.4) for _ in range(2)] + [_sparse_form(rng, s, 3, density=0.3)],
+        [Form.variable(s, 1) * Form.variable(s, s), _sparse_form(rng, s, 3, density=0.5)],
+    ]
+    for gens in generator_sets:
+        gens = [g for g in gens if not g.is_zero()]
+        polys = [sympy.sympify(format_form(g).replace("^", "**")) for g in gens]
+        basis = sympy.groebner(polys, *symbols, order="grevlex")
+        leading = [sympy.Poly(g, *symbols).monoms(order="grevlex")[0] for g in basis.exprs]
+        for d in range(2, 6):
+            expected = {m for m in monomials_of_degree(s, d) if any(all(map(int.__ge__, m, lm)) for lm in leading)}
+            assert initial_subspace(ideal_graded_piece(gens, d, REVLEX, s)).exps == expected
 
 
 @pytest.mark.parametrize("order,s", CASES)
