@@ -70,6 +70,17 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _header_count(path: str, lineno: int, token: str) -> int:
+    """The nonnegative integer of an "s=" or "d=" header token."""
+    try:
+        value = int(token.partition("=")[2])
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{path}:{lineno}: header {token!r} needs a nonnegative integer")
+    return value
+
+
 def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
     """Parse a subspace/generators file: optional header line
     "s=<int> d=<int> order=<revlex|lex|mixed>", then one form per line.
@@ -77,7 +88,7 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
     on conflict."""
     with open(path, encoding="utf-8") as handle:
         raw_lines = handle.read().splitlines()
-    header: dict[str, str] = {}
+    header: dict[str, str | int] = {}
     body: list[tuple[int, str]] = []
     for lineno, line in enumerate(raw_lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -88,7 +99,7 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
                 if "=" not in token:
                     raise ValueError(f"{path}:{lineno}: bad header token {token!r}")
                 key, _, value = token.partition("=")
-                header[key] = value
+                header[key] = _header_count(path, lineno, token) if key in ("s", "d") else value
             continue
         body.append((lineno, stripped))
 
@@ -96,7 +107,7 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
     flag_order = getattr(args, "order", None)
     num_vars = flag_vars
     if "s" in header:
-        header_vars = int(header["s"])
+        header_vars = header["s"]
         if flag_vars is not None and flag_vars != header_vars:
             _warn(f"--vars {flag_vars} conflicts with header s={header_vars}; header wins")
         num_vars = header_vars
@@ -110,7 +121,7 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
             _warn(f"--order {flag_order} conflicts with header order={header['order']}; header wins")
         order = header_order
 
-    degree = int(header["d"]) if "d" in header else None
+    degree = header.get("d")
 
     forms = []
     for lineno, text in body:

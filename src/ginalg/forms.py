@@ -15,6 +15,7 @@ the same rows, through `multiply_rows` and `divide_rows` in Z[x].
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping
@@ -494,11 +495,20 @@ def try_divide(f: Form, divisor: Form) -> Form | None:
 
 # -- text format ------------------------------------------------------------
 #
+# form     = term { sign term }
 # term     = [sign] [rational "*"] factor { "*" factor }  |  [sign] rational
 # factor   = "x" index [ "^" exponent ]
 # rational = integer [ "/" positive-integer ]
 #
-# The bare-rational alternative admits degree-0 forms such as "1".
+# Whitespace may stand between any two tokens.  The bare-rational
+# alternative admits degree-0 forms such as "1".  The grammar has no
+# nesting, so each term is one match of `_TERM`; a malformed term is
+# reported at its start, after its sign.
+
+_SIGN = re.compile(r"\s*([+-])?\s*")
+_FACTOR = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?")
+_FACTORS = rf"{_FACTOR.pattern}(?:\s*\*\s*{_FACTOR.pattern})*"
+_TERM = re.compile(rf"(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?:\s*\*\s*{_FACTORS})?|{_FACTORS}")
 
 
 class ParseError(ValueError):
@@ -507,113 +517,33 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable needs an index, e.g. x1", i)
-            tokens.append(("var", text[i + 1 : j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
 def parse_form(text: str, num_vars: int) -> Form:
     """Parse the polynomial grammar; rejects inhomogeneous input."""
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text.strip():
         raise ParseError("empty form", 0)
-    pos = 0
-
-    def peek() -> tuple[str, str, int] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(kind: str) -> tuple[str, str, int]:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError(f"expected {kind}, found end of input", len(text))
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        pos += 1
-        return tok
-
-    def parse_rational() -> Fraction:
-        num = int(take("int")[1])
-        if peek() and peek()[0] == "/":
-            take("/")
-            den_tok = take("int")
-            den = int(den_tok[1])
-            if den == 0:
-                raise ParseError("zero denominator", den_tok[2])
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_factor() -> Exponent:
-        tok = take("var")
-        index = int(tok[1])
-        if not 1 <= index <= num_vars:
-            raise ParseError(f"variable x{index} out of range 1..{num_vars}", tok[2])
-        exponent = 1
-        if peek() and peek()[0] == "^":
-            take("^")
-            exponent = int(take("int")[1])
-        return tuple(exponent if i == index - 1 else 0 for i in range(num_vars))
-
-    def parse_term() -> tuple[Fraction, Exponent]:
-        coeff = Fraction(1)
-        exps = (0,) * num_vars
-        tok = peek()
-        if tok is None:
-            raise ParseError("expected a term, found end of input", len(text))
-        if tok[0] == "int":
-            coeff = parse_rational()
-            if peek() and peek()[0] == "*":
-                take("*")
-                exps = tuple(a + b for a, b in zip(exps, parse_factor()))
-            else:
-                return coeff, exps  # bare rational: a degree-0 term
-        elif tok[0] == "var":
-            exps = tuple(a + b for a, b in zip(exps, parse_factor()))
-        else:
-            raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
-        while peek() and peek()[0] == "*":
-            take("*")
-            exps = tuple(a + b for a, b in zip(exps, parse_factor()))
-        return coeff, exps
-
     terms: list[tuple[Fraction, Exponent]] = []
-    sign = Fraction(1)
-    if peek()[0] in "+-":
-        sign = Fraction(-1) if take(peek()[0])[0] == "-" else Fraction(1)
-    coeff, exps = parse_term()
-    terms.append((sign * coeff, exps))
-    while peek() is not None:
-        tok = peek()
-        if tok[0] not in "+-":
-            raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
-        sign = Fraction(-1) if take(tok[0])[0] == "-" else Fraction(1)
-        coeff, exps = parse_term()
-        terms.append((sign * coeff, exps))
+    pos = 0
+    while True:
+        sign = _SIGN.match(text, pos)
+        start = sign.end()
+        if terms and sign[1] is None:
+            if start == len(text):
+                break
+            raise ParseError("expected '+' or '-'", start)
+        term = _TERM.match(text, start)
+        if term is None:
+            raise ParseError("expected a term", start)
+        if term["den"] is not None and int(term["den"]) == 0:
+            raise ParseError("zero denominator", term.start("den"))
+        exps = [0] * num_vars
+        for factor in _FACTOR.finditer(text, start, term.end()):
+            index = int(factor[1])
+            if not 1 <= index <= num_vars:
+                raise ParseError(f"variable x{index} out of range 1..{num_vars}", factor.start())
+            exps[index - 1] += int(factor[2] or 1)
+        coeff = Fraction(int(term["num"] or 1), int(term["den"] or 1))
+        terms.append((-coeff if sign[1] == "-" else coeff, tuple(exps)))
+        pos = term.end()
 
     degrees = sorted({sum(e) for _, e in terms})
     if len(degrees) > 1:

@@ -348,3 +348,22 @@ def test_gin_ideal_oversized_piece_exits_three(tmp_path):
     result = _ginalg(["gin-ideal", "--dmax", "40", str(path)])
     assert result.returncode == 3 and result.stdout == ""
     assert "s=5, d=40 has 135751 monomials" in result.stderr
+
+
+@pytest.mark.parametrize("header", ["s=2 d=-1", "s=-1 d=2", "s=x", "s=2 d=1.5"])
+def test_bad_header_counts_exit_three(tmp_path, header):
+    # s and d are nonnegative integers; an empty body must not hide a bad d
+    path = tmp_path / "header.txt"
+    path.write_text(f"# header only\n{header}\n")
+    result = _ginalg(["in", str(path)])
+    assert result.returncode == 3 and result.stdout == ""
+    bad = next(token for token in header.split() if not token.partition("=")[2].isdigit())
+    assert f"{path}:2: header {bad!r} needs a nonnegative integer" in result.stderr
+
+
+def test_malformed_form_line_reports_line_and_position(tmp_path):
+    path = tmp_path / "V.txt"
+    path.write_text("x1^2 + x2^2\nx1*x2 + 3x2^2\n")
+    result = _ginalg(["in", "--vars", "2", str(path)])
+    assert result.returncode == 3 and result.stdout == ""
+    assert f"{path}:2: expected '+' or '-' (at position 9)" in result.stderr

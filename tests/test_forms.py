@@ -282,6 +282,76 @@ def test_parse_errors_carry_position():
         parse_form("", 3)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x1x2", 2),
+        ("2x1", 1),
+        ("x1*2", 2),
+        ("x 1", 0),
+        ("1/0", 2),
+        ("x1^2^3", 4),
+        ("--x1", 1),
+        ("x1 +", 4),
+        ("x1\u00b2", 2),
+    ],
+)
+def test_malformed_text_raises_positioned_parse_error(text, position):
+    # a term that does not match is reported at its start, after its sign
+    with pytest.raises(ParseError) as info:
+        parse_form(text, 2)
+    assert 0 <= info.value.position <= len(text)
+    assert info.value.position == position
+
+
+def test_parse_grammar_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def spelled_forms(draw):
+        """A string in the grammar, and the Form built from the structure drawn for it."""
+        num_vars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+        def spell(n: int) -> str:
+            return "0" * draw(st.integers(0, 2)) + str(n)
+
+        tokens, terms = [], {}
+        for k in range(draw(st.integers(1, 4))):
+            sign = draw(st.sampled_from(["+", "-"] if k else ["", "+", "-"]))
+            exps = draw(st.sampled_from(monomials_of_degree(num_vars, degree)))
+            factors = []
+            for i, e in enumerate(exps):
+                while e:  # x_i^e as repeated factors x_i^part
+                    part = draw(st.integers(1, e))
+                    bare = part == 1 and draw(st.booleans())
+                    factors.append([f"x{spell(i + 1)}"] + ([] if bare else ["^", spell(part)]))
+                    e -= part
+            for i in draw(st.lists(st.integers(1, num_vars), max_size=2)):
+                factors.append([f"x{spell(i)}", "^", spell(0)])
+            factors = draw(st.permutations(factors))
+            coeff = Fraction(1)
+            rational = []
+            if not factors or draw(st.booleans()):
+                numerator, denominator = draw(st.integers(0, 30)), draw(st.none() | st.integers(1, 9))
+                coeff = Fraction(numerator, denominator or 1)
+                rational = [spell(numerator)] + ([] if denominator is None else ["/", spell(denominator)])
+                rational += ["*"] if factors else []
+            tokens += ([sign] if sign else []) + rational + [t for j, f in enumerate(factors) for t in ["*"] * (j > 0) + f]
+            terms[exps] = terms.get(exps, Fraction(0)) + (-coeff if sign == "-" else coeff)
+        gap = st.sampled_from(["", " ", "\t", "  ", "\u00a0"])
+        text = "".join(draw(gap) + t for t in tokens) + draw(gap)
+        return text, Form(num_vars, degree, terms)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(spelled_forms())
+    def check(case):
+        text, expected = case
+        assert parse_form(text, expected.num_vars) == expected
+
+    check()
+
+
 def test_format_round_trip():
     rng = random.Random(17)
     for _ in range(50):
