@@ -3,10 +3,7 @@ polynomial ideals over the rationals, with the supporting monomial-ideal
 combinatorics and common-factor extraction."""
 
 from .forms import (
-    EQ,
-    GT,
     LEX,
-    LT,
     MIXED,
     REVLEX,
     CoordinateChange,
@@ -14,7 +11,6 @@ from .forms import (
     InvariantError,
     ParseError,
     apply_change,
-    compare_monomials,
     format_form,
     format_monomial,
     initial_monomial,

@@ -34,7 +34,7 @@ from .forms import (
     normalize_order_name,
     parse_form,
 )
-from .gin import gin_ideal_truncated, gin_subspace
+from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, gin_ideal_truncated, gin_subspace
 from .ideals import (
     colon_by_last_variable,
     enumerate_gin_candidates,
@@ -49,7 +49,7 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-DEFAULTS = {"order": REVLEX, "seed": 0, "trials": 3, "bound": 100}
+DEFAULTS = {"seed": 0, "trials": DEFAULT_TRIALS, "bound": DEFAULT_BOUND}
 
 # most monomials of degree <= dmax that `hilbert` may enumerate (one generator, 2 vCPU:
 # s=6 dmax=20, 230230 monomials, 1.2 s; s=4 dmax=60, 635376 monomials, 3.7 s)
@@ -70,15 +70,19 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _header_count(path: str, lineno: int, token: str) -> int:
-    """The nonnegative integer of an "s=" or "d=" header token."""
-    try:
-        value = int(token.partition("=")[2])
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{path}:{lineno}: header {token!r} needs a nonnegative integer")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"needs an integer of at least {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
@@ -96,32 +100,31 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
             continue
         if not body and not header and "=" in stripped:
             for token in stripped.split():
-                if "=" not in token:
+                key, eq, value = token.partition("=")
+                if not eq:
                     raise ValueError(f"{path}:{lineno}: bad header token {token!r}")
-                key, _, value = token.partition("=")
-                header[key] = _header_count(path, lineno, token) if key in ("s", "d") else value
+                if key not in ("s", "d", "order"):
+                    raise ValueError(f"{path}:{lineno}: unknown header key {key!r}; expected s, d or order")
+                if key in header:
+                    raise ValueError(f"{path}:{lineno}: repeated header key {key!r}")
+                if key != "order":
+                    try:
+                        value = _at_least(0)(value)
+                    except argparse.ArgumentTypeError:
+                        raise ValueError(f"{path}:{lineno}: header {token!r} needs a nonnegative integer") from None
+                header[key] = value
             continue
         body.append((lineno, stripped))
 
-    flag_vars = getattr(args, "vars", None)
-    flag_order = getattr(args, "order", None)
-    num_vars = flag_vars
-    if "s" in header:
-        header_vars = header["s"]
-        if flag_vars is not None and flag_vars != header_vars:
-            _warn(f"--vars {flag_vars} conflicts with header s={header_vars}; header wins")
-        num_vars = header_vars
+    flag_vars, flag_order = getattr(args, "vars", None), getattr(args, "order", None)
+    if flag_vars is not None and "s" in header and header["s"] != flag_vars:
+        _warn(f"--vars {flag_vars} conflicts with header s={header['s']}; header wins")
+    num_vars = header.get("s", flag_vars)
     if num_vars is None:
         raise ValueError(f"{path}: number of variables unknown; add a header or pass --vars")
-
-    order = normalize_order_name(flag_order) if flag_order else REVLEX
-    if "order" in header:
-        header_order = normalize_order_name(header["order"])
-        if flag_order and normalize_order_name(flag_order) != header_order:
-            _warn(f"--order {flag_order} conflicts with header order={header['order']}; header wins")
-        order = header_order
-
-    degree = header.get("d")
+    order = normalize_order_name(header["order"] if "order" in header else flag_order or REVLEX)
+    if flag_order and "order" in header and normalize_order_name(flag_order) != order:
+        _warn(f"--order {flag_order} conflicts with header order={header['order']}; header wins")
 
     forms = []
     for lineno, text in body:
@@ -129,18 +132,20 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
             forms.append(parse_form(text, num_vars))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return num_vars, degree, order, forms
+    return num_vars, header.get("d"), order, forms
 
 
 def load_subspace(path: str, args) -> Subspace:
     num_vars, degree, order, forms = read_forms_file(path, args)
-    for f in forms:
-        if degree is not None and f.degree != degree and not f.is_zero():
-            raise ValueError(f"{path}: form of degree {f.degree} in a degree-{degree} subspace file")
+    nonzero = [f for f in forms if not f.is_zero()]
     if degree is None:
         if not forms:
             raise ValueError(f"{path}: empty body needs d=<int> in the header")
-        degree = forms[0].degree
+        # the zero form parses at degree 0, so only a nonzero form tells the degree
+        degree = nonzero[0].degree if nonzero else 0
+    for f in nonzero:
+        if f.degree != degree:
+            raise ValueError(f"{path}: form of degree {f.degree} in a degree-{degree} subspace file")
     return echelonize(forms, order, num_vars=num_vars, degree=degree)
 
 
@@ -318,7 +323,10 @@ def cmd_colon(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    quotient_hf = [int(v) for v in args.hf.split(",") if v.strip()]
+    try:
+        quotient_hf = [int(v) for v in args.hf.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"--hf needs comma-separated integers, got {args.hf!r}") from None
     candidates = enumerate_gin_candidates(args.vars, quotient_hf, args.dmax)
     payload = {"count": len(candidates), "candidates": [c.strings() for c in candidates]}
     _emit(args, payload, "\n".join(str(c) for c in candidates) if candidates else "none")
@@ -356,7 +364,7 @@ def build_parser() -> CliParser:
         p.add_argument("--bound", type=int, default=DEFAULTS["bound"])
 
     def add_ring(p, *, order=True):
-        p.add_argument("--vars", type=int, default=None, help="number of variables s")
+        p.add_argument("--vars", type=_at_least(0), default=None, help="number of variables s")
         if order:
             p.add_argument("--order", default=None, help="revlex | lex | mixed")
 
@@ -377,7 +385,7 @@ def build_parser() -> CliParser:
     p.add_argument("--hyperplane", required=True, help="a degree-1 form, e.g. 'x4' or 'x1+2*x2'")
 
     p = add("gcd", cmd_gcd, "gcd of two forms")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_at_least(0), required=True)
     p.add_argument("forms", nargs=2, help="two forms in the polynomial grammar")
 
     p = add("factor", cmd_factor, "common factor of a subspace", needs_file=True)
@@ -388,7 +396,7 @@ def build_parser() -> CliParser:
     add_rand(p)
 
     p = add("make-instance", cmd_make_instance, "planted instance V = W_n * p")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_at_least(0), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -402,27 +410,25 @@ def build_parser() -> CliParser:
     p.add_argument("--expected-m", dest="expected_m", type=int, default=None)
 
     p = add("hilbert", cmd_hilbert, "quotient Hilbert function of a monomial ideal")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_at_least(1), required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("ideal", help="comma-separated monomials, e.g. 'x1^2, x1*x2'")
 
     p = add("borel", cmd_borel, "Borel-fixedness of a monomial ideal")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_at_least(0), required=True)
     p.add_argument("ideal")
 
     p = add("colon", cmd_colon, "colon of a monomial ideal by the last variable")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_at_least(1), required=True)
     p.add_argument("ideal")
 
     p = add("enumerate", cmd_enumerate, "monomial ideals matching Hilbert/Borel/saturation constraints")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_at_least(0), required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--hf", required=True, help="quotient Hilbert function, e.g. '1,4,7,8,8'")
 
     p = add("ci-demo", cmd_ci_demo, "three-quadrics complete-intersection demonstration")
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--trials", type=int, default=DEFAULTS["trials"])
-    p.add_argument("--bound", type=int, default=DEFAULTS["bound"])
+    add_rand(p)
 
     return parser
 
@@ -433,8 +439,8 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except UsageError as exc:
         message = str(exc)
-        if any(a.startswith("-") and not a.startswith("--") for a in argv):
-            # argparse reads any argument that begins with '-' as an option
+        if any(a.startswith("-") and not a.startswith("--") and not a[1:].isdigit() for a in argv):
+            # argparse reads an argument that begins with '-' as an option, unless it is a number
             message += "; a form that begins with '-' must follow '--' or be attached with '=' (--hyperplane=-x1+x3)"
         print(f"usage error: {message}", file=sys.stderr)
         parser.print_usage(sys.stderr)

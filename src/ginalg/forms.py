@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
-
-LT, EQ, GT = -1, 0, 1
 
 REVLEX = "revlex"
 LEX = "lex"
@@ -63,16 +62,6 @@ def monomial_key(order: str, exps: Exponent) -> tuple[int, ...]:
     if order == MIXED:
         return (-exps[-1],) + exps[:-1]
     raise ValueError(f"unknown monomial order {order!r}")
-
-
-def compare_monomials(order: str, a: Exponent, b: Exponent) -> int:
-    """Return LT, EQ or GT.  Only equal-degree exponents are comparable."""
-    if len(a) != len(b):
-        raise ValueError(f"exponents over different variable counts: {len(a)} vs {len(b)}")
-    if sum(a) != sum(b):
-        raise ValueError(f"incomparable degrees: {sum(a)} vs {sum(b)}")
-    ka, kb = monomial_key(order, a), monomial_key(order, b)
-    return (ka > kb) - (ka < kb)
 
 
 def sort_monomials(order: str, exps: Iterable[Exponent]) -> list[Exponent]:
@@ -244,19 +233,29 @@ def initial_monomial(f: Form, order: str) -> Exponent:
 
 
 class CoordinateChange:
-    """An invertible linear substitution x_i -> sum_j M[i][j] * x_j."""
+    """An invertible linear substitution x_i -> sum_j M[i][j] * x_j.  `images` is it scaled
+    to integers by the common denominator D of the entries, so a degree-d image is D^d times
+    the true one."""
 
-    __slots__ = ("num_vars", "matrix")
+    __slots__ = ("num_vars", "matrix", "images", "denominator")
 
     def __init__(self, rows: Iterable[Iterable]):
+        from .subspaces import RowEchelon  # subspaces imports this module
+
         matrix = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
         s = len(matrix)
         if s == 0 or any(len(row) != s for row in matrix):
             raise ValueError("coordinate change matrix must be square and nonempty")
+        denominator = math.lcm(*(v.denominator for row in matrix for v in row))
+        images = tuple(
+            tuple((j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v) for row in matrix
+        )
+        if len(RowEchelon(REVLEX, ({(j,): c for j, c in image} for image in images)).rows) < s:
+            raise ValueError("singular coordinate change matrix")
         object.__setattr__(self, "num_vars", s)
         object.__setattr__(self, "matrix", matrix)
-        if _determinant(matrix) == 0:
-            raise ValueError("singular coordinate change matrix")
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordinateChange is immutable")
@@ -264,17 +263,6 @@ class CoordinateChange:
     @classmethod
     def identity(cls, num_vars: int) -> CoordinateChange:
         return cls([[1 if i == j else 0 for j in range(num_vars)] for i in range(num_vars)])
-
-    def compose(self, other: CoordinateChange) -> CoordinateChange:
-        """The change equivalent to applying self first, then other."""
-        if self.num_vars != other.num_vars:
-            raise ValueError("cannot compose changes over different variable counts")
-        s = self.num_vars
-        rows = [
-            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(s)) for j in range(s)]
-            for i in range(s)
-        ]
-        return CoordinateChange(rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoordinateChange) and self.matrix == other.matrix
@@ -286,26 +274,6 @@ class CoordinateChange:
         return f"CoordinateChange({[[str(v) for v in row] for row in self.matrix]})"
 
 
-def _determinant(matrix: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    rows = [list(row) for row in matrix]
-    s = len(rows)
-    det = Fraction(1)
-    for col in range(s):
-        pivot = next((r for r in range(col, s) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, s):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
 # -- integer rows -------------------------------------------------------------
 #
 # The graded-piece kernel works on rows: dicts from exponent vector to int.
@@ -315,7 +283,7 @@ def _determinant(matrix: tuple[tuple[Fraction, ...], ...]) -> Fraction:
 
 Row = dict[Exponent, int]
 # a linear substitution: variable i -> sum of c * y_slot over (slot, c) pairs
-LinearImages = list[list[tuple[int, int]]]
+LinearImages = Sequence[Sequence[tuple[int, int]]]
 
 
 def primitive(row: Row) -> tuple[Row, int]:
@@ -377,19 +345,6 @@ def divide_rows(f: Row, g: Row) -> Row | None:
             else:
                 del rest[e]
     return quotient
-
-
-def change_images(change: CoordinateChange) -> tuple[LinearImages, int]:
-    """The change scaled by the common denominator D of its entries, and D.
-
-    Under the scaled change a degree-d image is D^d times the true one.
-    """
-    denominator = math.lcm(*(v.denominator for row in change.matrix for v in row))
-    images = [
-        [(j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v]
-        for row in change.matrix
-    ]
-    return images, denominator
 
 
 def restriction_images(linear: Form, num_vars: int) -> tuple[LinearImages, int]:
@@ -454,10 +409,9 @@ def apply_change(f: Form, change: CoordinateChange) -> Form:
     """Substitute x_i -> sum_j M[i][j] x_j and expand."""
     if f.num_vars != change.num_vars:
         raise ValueError("form and coordinate change over different variable counts")
-    images, denominator = change_images(change)
     row, scale = integer_row(f)
-    [image] = sym_power([row], images, f.num_vars)
-    return form_from_row(f.num_vars, f.degree, image, scale * denominator**f.degree)
+    [image] = sym_power([row], change.images, f.num_vars)
+    return form_from_row(f.num_vars, f.degree, image, scale * change.denominator**f.degree)
 
 
 def restrict(f: Form, linear: Form) -> Form:
@@ -517,6 +471,16 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _integer(match: re.Match, group) -> int:
+    """The integer a matched digit group spells; one longer than Python's limit on
+    integer string conversion is a ParseError at the group."""
+    try:
+        return int(match[group])
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer longer than the {limit}-digit limit", match.start(group)) from None
+
+
 def parse_form(text: str, num_vars: int) -> Form:
     """Parse the polynomial grammar; rejects inhomogeneous input."""
     if not text.strip():
@@ -533,15 +497,17 @@ def parse_form(text: str, num_vars: int) -> Form:
         term = _TERM.match(text, start)
         if term is None:
             raise ParseError("expected a term", start)
-        if term["den"] is not None and int(term["den"]) == 0:
+        num = _integer(term, "num") if term["num"] else 1
+        den = _integer(term, "den") if term["den"] else 1
+        if den == 0:
             raise ParseError("zero denominator", term.start("den"))
         exps = [0] * num_vars
         for factor in _FACTOR.finditer(text, start, term.end()):
-            index = int(factor[1])
+            index = _integer(factor, 1)
             if not 1 <= index <= num_vars:
                 raise ParseError(f"variable x{index} out of range 1..{num_vars}", factor.start())
-            exps[index - 1] += int(factor[2] or 1)
-        coeff = Fraction(int(term["num"] or 1), int(term["den"] or 1))
+            exps[index - 1] += _integer(factor, 2) if factor[2] else 1
+        coeff = Fraction(num, den)
         terms.append((-coeff if sign[1] == "-" else coeff, tuple(exps)))
         pos = term.end()
 

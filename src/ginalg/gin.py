@@ -2,7 +2,8 @@
 
 Genericity is probabilistic: each trial applies an independent random
 integer coordinate change and recomputes the initial subspace.  A dense
-open set of changes yields the true gin, so unanimous trials are strong
+open set of changes yields the true gin and every other change a smaller
+one, so the largest trial is reported; unanimous trials are strong
 evidence; disagreement is surfaced in the report, never hidden.
 
 A gin trial of a subspace reads only the pivots of the moved subspace gV,
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import add
 
-from .forms import REVLEX, CoordinateChange, Form, apply_change, integer_row, monomials_of_degree
-from .ideals import MonomialIdeal, minimalize
+from .forms import REVLEX, CoordinateChange, Form, apply_change, integer_row, monomial_key, monomials_of_degree
+from .ideals import MonomialIdeal, _is_borel_closed, minimalize
 from .subspaces import (
     MonomialSet,
     RowEchelon,
@@ -78,18 +79,20 @@ def random_change(num_vars: int, seed: int, bound: int = DEFAULT_BOUND) -> Coord
 
 
 def _trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     return tuple(rng.getrandbits(32) for _ in range(trials))
 
 
-def _majority(outcomes: list) -> tuple[object, int]:
-    counts: dict = {}
-    first_index: dict = {}
-    for i, outcome in enumerate(outcomes):
-        counts[outcome] = counts.get(outcome, 0) + 1
-        first_index.setdefault(outcome, i)
-    winner = max(counts, key=lambda o: (counts[o], -first_index[o]))
-    return winner, counts[winner]
+def _report(outcomes: list[MonomialSet], order: str, seeds: tuple[int, ...]) -> GinReport:
+    """The largest outcome: in(gV) <= gin V for every g, comparing pivots sorted descending
+    under the order lexicographically.  Stable when every trial reaches it and it is
+    Borel-closed, as a characteristic-0 gin is (Bayer-Stillman)."""
+    winner = max(outcomes, key=lambda o: [monomial_key(order, e) for e in o.sorted(order)])
+    agreements = outcomes.count(winner)
+    stable = agreements == len(outcomes) and _is_borel_closed(winner.exps, winner.exps.__contains__)
+    return GinReport(winner, len(outcomes), agreements, seeds, stable)
 
 
 def gin_subspace(
@@ -103,12 +106,9 @@ def gin_subspace(
     Each trial computes only the pivots of the moved subspace, from its columns through
     the transposed change, with exact integer arithmetic; the moved rows are never built.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     seeds = _trial_seeds(seed, trials)
     outcomes = [initial_after_change(space, random_change(space.num_vars, ts, bound)) for ts in seeds]
-    winner, agreements = _majority(outcomes)
-    return GinReport(winner, trials, agreements, seeds, agreements == trials)
+    return _report(outcomes, space.order, seeds)
 
 
 def ideal_graded_piece(gens: list[Form], degree: int, order: str, num_vars: int) -> Subspace:
@@ -186,24 +186,18 @@ def gin_ideal_truncated(
     transformed generators span the same graded pieces as the transformed
     ideal, so the change is applied to the generators once.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    seeds = _trial_seeds(seed, trials)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     num_vars = gens[0].num_vars
-    seeds = _trial_seeds(seed, trials)
     per_trial: list[dict[int, MonomialSet]] = []
     for ts in seeds:
         change = random_change(num_vars, ts, bound)
         moved = [apply_change(g, change) for g in gens]
         per_trial.append(initial_ideal_truncated(moved, dmax, order))
     degrees = sorted(per_trial[0])
-    per_degree: dict[int, GinReport] = {}
-    for d in degrees:
-        outcomes = [trial[d] for trial in per_trial]
-        winner, agreements = _majority(outcomes)
-        per_degree[d] = GinReport(winner, trials, agreements, seeds, agreements == trials)
+    per_degree = {d: _report([trial[d] for trial in per_trial], order, seeds) for d in degrees}
     stable = all(r.stable for r in per_degree.values())
     union = [e for d in degrees for e in per_degree[d].result.exps]
     ideal = minimalize(union, num_vars)

@@ -31,7 +31,6 @@ from .forms import (
     LinearImages,
     Row,
     _monomial_image,
-    change_images,
     form_from_row,
     format_monomial,
     integer_row,
@@ -261,7 +260,7 @@ def _span_of_images(space: Subspace, images: LinearImages, num_vars: int) -> Sub
 def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
     if space.num_vars != change.num_vars:
         raise ValueError("subspace and coordinate change over different variable counts")
-    return _span_of_images(space, change_images(change)[0], space.num_vars)
+    return _span_of_images(space, change.images, space.num_vars)
 
 
 def initial_after_change(space: Subspace, change: CoordinateChange) -> MonomialSet:
@@ -280,9 +279,8 @@ def initial_after_change(space: Subspace, change: CoordinateChange) -> MonomialS
         raise ValueError("subspace and coordinate change over different variable counts")
     if not space.dim:
         return MonomialSet(space.num_vars, space.degree, frozenset())
-    images, _ = change_images(change)
-    transposed: LinearImages = [[] for _ in images]
-    for i, image in enumerate(images):
+    transposed: list[list[tuple[int, int]]] = [[] for _ in change.images]
+    for i, image in enumerate(change.images):
         for j, c in image:
             transposed[j].append((i, c))
     # each row as its monomials u and its entries times u!

@@ -248,6 +248,8 @@ def test_unstable_gin_exits_inconclusive(capsys, tmp_path):
     assert code == 2
     payload = json.loads(out)
     assert payload["stable"] is False and payload["agreements"] < payload["trials"]
+    # the largest trial is reported: the Borel-fixed gin, not the majority x1^2 x2^2
+    assert payload["result"] == ["x1^2", "x1*x2"]
 
 
 def test_randomized_subcommands_are_byte_deterministic(capsys, tmp_path):
@@ -367,3 +369,51 @@ def test_malformed_form_line_reports_line_and_position(tmp_path):
     result = _ginalg(["in", "--vars", "2", str(path)])
     assert result.returncode == 3 and result.stdout == ""
     assert f"{path}:2: expected '+' or '-' (at position 9)" in result.stderr
+
+
+@pytest.mark.parametrize("body", ["0\nx1^2\n", "x1^2\n0\n"])
+def test_degree_comes_from_first_nonzero_form(capsys, tmp_path, body):
+    # the zero form parses at degree 0, so it must not fix the file's degree
+    path = tmp_path / "V.txt"
+    path.write_text("s=2\n" + body)
+    code, out, _ = invoke(capsys, ["in", "--text", str(path)])
+    assert (code, out) == (0, "x1^2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, header, message",
+    [
+        (["in"], "s=3 d=2 dd=5", "{path}:1: unknown header key 'dd'; expected s, d or order"),
+        (["in"], "s=3 s=4 d=2", "{path}:1: repeated header key 's'"),
+        (["in", "--vars", "-1"], "d=2", "argument --vars: needs an integer of at least 0, got '-1'"),
+        (["hilbert", "--vars", "-2", "--dmax", "2", "x1"], None, "argument --vars: needs an integer of at least 1, got '-2'"),
+        (["hilbert", "--vars", "0", "--dmax", "2", "1"], None, "argument --vars: needs an integer of at least 1, got '0'"),
+        (["colon", "--vars", "0", "1"], None, "argument --vars: needs an integer of at least 1, got '0'"),
+        (["enumerate", "--vars", "2", "--dmax", "2", "--hf", "1,a"], None, "--hf needs comma-separated integers, got '1,a'"),
+    ],
+    ids=["unknown-key", "repeated-key", "in-vars", "hilbert-vars", "hilbert-vars-zero", "colon-vars-zero", "enumerate-hf"],
+)
+def test_bad_header_keys_and_flags_exit_three(tmp_path, argv, header, message):
+    path = tmp_path / "V.txt"
+    if header is not None:
+        path.write_text(f"{header}\nx1^2\n")
+        argv = argv + [str(path)]
+    result = _ginalg(argv)
+    assert result.returncode == 3 and result.stdout == ""
+    assert message.format(path=path) in result.stderr
+    assert "must follow '--'" not in result.stderr
+
+
+def test_integer_beyond_the_digit_limit_exits_three(tmp_path):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no integer string limit before Python 3.11")
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    limit = f"integer longer than the {sys.get_int_max_str_digits()}-digit limit"
+    result = _ginalg(["gcd", "--vars", "2", f"{digits}*x1", "x1"])
+    assert result.returncode == 3 and result.stdout == ""
+    assert f"{limit} (at position 0)" in result.stderr
+    path = tmp_path / "V.txt"
+    path.write_text(f"s=2 d=1\nx2\n3*x1 - 1/{digits}*x2\n")
+    result = _ginalg(["in", str(path)])
+    assert result.returncode == 3 and result.stdout == ""
+    assert f"{path}:3: {limit} (at position 9)" in result.stderr

@@ -1,23 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
 from ginalg import (
-    EQ,
-    GT,
     LEX,
-    LT,
     MIXED,
     REVLEX,
     CoordinateChange,
     Form,
     ParseError,
     apply_change,
-    compare_monomials,
     format_form,
     format_monomial,
     initial_monomial,
+    monomial_key,
     monomials_of_degree,
     normalize_form,
     parse_form,
@@ -47,17 +46,18 @@ def test_revlex_descending_s3_d2():
     ]
 
 
+def _cmp(order, a, b):
+    """-1, 0 or 1 as a is below, equal to or above b under the order."""
+    ka, kb = monomial_key(order, a), monomial_key(order, b)
+    return (ka > kb) - (ka < kb)
+
+
 def test_compare_examples():
-    assert compare_monomials(REVLEX, (0, 2, 0), (1, 0, 1)) == GT
-    assert compare_monomials(REVLEX, (1, 1, 0), (1, 1, 0)) == EQ
-    assert compare_monomials(LEX, (1, 1, 0), (1, 1, 0)) == EQ
+    assert _cmp(REVLEX, (0, 2, 0), (1, 0, 1)) == 1
+    assert _cmp(REVLEX, (1, 1, 0), (1, 1, 0)) == 0
+    assert _cmp(LEX, (1, 1, 0), (1, 1, 0)) == 0
     # mixed: smaller last exponent wins
-    assert compare_monomials(MIXED, (0, 3, 0, 0), (2, 0, 0, 1)) == GT
-
-
-def test_compare_degree_mismatch():
-    with pytest.raises(ValueError, match="incomparable degrees"):
-        compare_monomials(REVLEX, (1, 0), (2, 0))
+    assert _cmp(MIXED, (0, 3, 0, 0), (2, 0, 0, 1)) == 1
 
 
 @pytest.mark.parametrize("order", [REVLEX, LEX, MIXED])
@@ -68,11 +68,11 @@ def test_order_matches_definition_oracle(order):
         monomials = monomials_of_degree(s, d)
         for _ in range(200):
             a, b = rng.choice(monomials), rng.choice(monomials)
-            got = compare_monomials(order, a, b)
+            got = _cmp(order, a, b)
             if a == b:
-                assert got == EQ
+                assert got == 0
             else:
-                assert got == (GT if oracle(a, b) else LT)
+                assert got == (1 if oracle(a, b) else -1)
 
 
 @pytest.mark.parametrize("order", [REVLEX, LEX, MIXED])
@@ -81,11 +81,11 @@ def test_order_axioms(order):
     monomials = monomials_of_degree(4, 3)
     for _ in range(200):
         a, b, c = (rng.choice(monomials) for _ in range(3))
-        ab = compare_monomials(order, a, b)
-        assert compare_monomials(order, b, a) == -ab  # antisymmetry
-        assert (ab == EQ) == (a == b)  # totality: EQ only on equality
-        if ab == GT and compare_monomials(order, b, c) == GT:
-            assert compare_monomials(order, a, c) == GT  # transitivity
+        ab = _cmp(order, a, b)
+        assert _cmp(order, b, a) == -ab  # antisymmetry
+        assert (ab == 0) == (a == b)  # totality: equal keys only on equal monomials
+        if ab == 1 and _cmp(order, b, c) == 1:
+            assert _cmp(order, a, c) == 1  # transitivity
 
 
 def test_revlex_multiplicative():
@@ -99,7 +99,7 @@ def test_revlex_multiplicative():
         c = rng.choice(shifts)
         ac = tuple(x + y for x, y in zip(a, c))
         bc = tuple(x + y for x, y in zip(b, c))
-        assert compare_monomials(REVLEX, a, b) == compare_monomials(REVLEX, ac, bc)
+        assert _cmp(REVLEX, a, b) == _cmp(REVLEX, ac, bc)
 
 
 # -- initial monomial -----------------------------------------------------------
@@ -158,7 +158,9 @@ def test_apply_change_composition_and_multiplicativity():
             continue
         f = F("x1*x3 - x2^2", 3)
         g = F("x1 + 2*x3", 3)
-        assert apply_change(apply_change(f, m1), m2) == apply_change(f, m1.compose(m2))
+        # applying m1 and then m2 substitutes x_i -> sum_k m1[i][k] * sum_j m2[k][j] * x_j
+        product = [[sum(rows1[i][k] * rows2[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        assert apply_change(apply_change(f, m1), m2) == apply_change(f, CoordinateChange(product))
         assert apply_change(f * g, m1) == apply_change(f, m1) * apply_change(g, m1)
         assert apply_change(f + (-f), m1).is_zero()
 
@@ -166,6 +168,36 @@ def test_apply_change_composition_and_multiplicativity():
 def test_singular_change_rejected():
     with pytest.raises(ValueError, match="singular"):
         CoordinateChange([[1, 2], [2, 4]])
+
+
+def test_singular_exactly_when_determinant_is_zero():
+    def det(m):
+        # Leibniz formula, independent of the elimination CoordinateChange runs
+        total = 0
+        for p in permutations(range(len(m))):
+            inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+            total += (-1) ** inversions * prod(m[i][p[i]] for i in range(len(m)))
+        return total
+
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(300):
+        s = rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(s)] for _ in range(s)]
+        try:
+            CoordinateChange(rows)
+        except ValueError:
+            singular += 1
+            assert det(rows) == 0
+        else:
+            assert det(rows) != 0
+    assert singular > 30
+
+
+def test_change_images_are_the_matrix_scaled_to_integers():
+    change = CoordinateChange([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]])
+    assert change.denominator == 6
+    assert change.images == (((0, 3), (1, 6)), ((1, -2),))
 
 
 def test_restrict_examples():

@@ -6,6 +6,7 @@ import pytest
 from ginalg import (
     MIXED,
     REVLEX,
+    CoordinateChange,
     Form,
     echelonize,
     full_graded_piece,
@@ -13,10 +14,13 @@ from ginalg import (
     gin_subspace,
     hilbert_function,
     ideal_graded_piece,
+    initial_after_change,
     initial_ideal_truncated,
     is_borel_fixed,
     make_instance,
     minimalize,
+    monomial_key,
+    monomials_of_degree,
     parse_form,
     parse_ideal,
     random_change,
@@ -25,6 +29,8 @@ from ginalg import (
     restriction_commutation_check,
     transform_subspace,
 )
+from ginalg import gin as gin_module
+from ginalg.forms import ORDER_NAMES
 from ginalg.ideals import colon_by_last_variable
 
 
@@ -81,6 +87,45 @@ def test_gin_report_determinism():
     b = gin_subspace(V, trials=3, seed=5, bound=50)
     assert a == b and a.seeds == b.seeds
     assert a.agreements <= a.trials and a.stable == (a.agreements == a.trials)
+
+
+def test_no_trial_exceeds_the_reported_gin():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def key(result, order):
+        # pivots sorted descending under the order, compared lexicographically
+        return [monomial_key(order, e) for e in result.sorted(order)]
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        s = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 3))
+        order = data.draw(st.sampled_from(ORDER_NAMES))
+        # sparse forms and small changes, so that trials often disagree
+        monomial = st.sampled_from(monomials_of_degree(s, d))
+        terms = st.dictionaries(monomial, st.sampled_from([-1, 1]), min_size=1, max_size=2)
+        forms = [Form(s, d, t) for t in data.draw(st.lists(terms, min_size=1, max_size=6))]
+        space = echelonize(forms, order, num_vars=s, degree=d)
+        seed, bound = data.draw(st.integers(0, 999)), data.draw(st.integers(1, 2))
+        report = gin_subspace(space, trials=4, seed=seed, bound=bound)
+        outcomes = [initial_after_change(space, random_change(s, ts, bound)) for ts in report.seeds]
+        assert all(key(o, order) <= key(report.result, order) for o in outcomes)
+        assert report.agreements == outcomes.count(report.result)
+        if report.stable:
+            assert report.agreements == 4 and is_borel_fixed(minimalize(report.result.exps, s))
+
+    check()
+
+
+def test_unanimous_gin_that_is_not_borel_fixed_is_unstable(monkeypatch):
+    # with every trial the identity, all trials agree on in(V) = {x2^2}, which no
+    # characteristic-0 gin can be: x1^2 = (x1/x2)*x2^2 is missing
+    monkeypatch.setattr(gin_module, "random_change", lambda n, ts, bound: CoordinateChange.identity(n))
+    report = gin_subspace(echelonize([F("x2^2", 2)]), trials=3, seed=0)
+    assert report.agreements == 3 and report.result.strings() == ["x2^2"]
+    assert not report.stable
 
 
 def test_gin_ideal_three_quadrics_matches_first_candidate():
