@@ -29,7 +29,6 @@ from .forms import (
     REVLEX,
     Form,
     InvariantError,
-    ParseError,
     format_form,
     normalize_order_name,
     parse_form,
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-
-DEFAULTS = {"seed": 0, "trials": DEFAULT_TRIALS, "bound": DEFAULT_BOUND}
 
 # most monomials of degree <= dmax that `hilbert` may enumerate (one generator, 2 vCPU:
 # s=6 dmax=20, 230230 monomials, 1.2 s; s=4 dmax=60, 635376 monomials, 3.7 s)
@@ -116,7 +113,7 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
             continue
         body.append((lineno, stripped))
 
-    flag_vars, flag_order = getattr(args, "vars", None), getattr(args, "order", None)
+    flag_vars, flag_order = args.vars, args.order
     if flag_vars is not None and "s" in header and header["s"] != flag_vars:
         _warn(f"--vars {flag_vars} conflicts with header s={header['s']}; header wins")
     num_vars = header.get("s", flag_vars)
@@ -349,64 +346,49 @@ def build_parser() -> CliParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, handler, help_text, *, needs_file=False):
+    def add(name, handler, help_text, *, file=False, rand=False):
+        """A subcommand; a file command reads a forms file with --vars and --order,
+        a randomized one takes --seed, --trials and --bound."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="force JSON output")
         p.add_argument("--text", action="store_true", help="force plain-text output")
-        if needs_file:
+        if file:
             p.add_argument("file", help="input file (header + one form per line)")
+            p.add_argument("--vars", type=_at_least(0), default=None, help="number of variables s")
+            p.add_argument("--order", default=None, help="revlex | lex | mixed")
+        if rand:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+            p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         return p
 
-    def add_rand(p):
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--trials", type=int, default=DEFAULTS["trials"])
-        p.add_argument("--bound", type=int, default=DEFAULTS["bound"])
+    add("in", cmd_in, "initial subspace of a subspace file", file=True)
+    add("gin", cmd_gin, "generic initial subspace (randomized trials)", file=True, rand=True)
 
-    def add_ring(p, *, order=True):
-        p.add_argument("--vars", type=_at_least(0), default=None, help="number of variables s")
-        if order:
-            p.add_argument("--order", default=None, help="revlex | lex | mixed")
-
-    p = add("in", cmd_in, "initial subspace of a subspace file", needs_file=True)
-    add_ring(p)
-
-    p = add("gin", cmd_gin, "generic initial subspace (randomized trials)", needs_file=True)
-    add_ring(p)
-    add_rand(p)
-
-    p = add("gin-ideal", cmd_gin_ideal, "truncated generic initial ideal of generators", needs_file=True)
-    add_ring(p)
-    add_rand(p)
+    p = add("gin-ideal", cmd_gin_ideal, "truncated generic initial ideal of generators", file=True, rand=True)
     p.add_argument("--dmax", type=int, required=True)
 
-    p = add("restrict", cmd_restrict, "restrict a subspace to a hyperplane", needs_file=True)
-    add_ring(p)
+    p = add("restrict", cmd_restrict, "restrict a subspace to a hyperplane", file=True)
     p.add_argument("--hyperplane", required=True, help="a degree-1 form, e.g. 'x4' or 'x1+2*x2'")
 
     p = add("gcd", cmd_gcd, "gcd of two forms")
     p.add_argument("--vars", type=_at_least(0), required=True)
     p.add_argument("forms", nargs=2, help="two forms in the polynomial grammar")
 
-    p = add("factor", cmd_factor, "common factor of a subspace", needs_file=True)
-    add_ring(p)
-
-    p = add("verify", cmd_verify, "main-theorem verification on a subspace", needs_file=True)
-    add_ring(p)
-    add_rand(p)
+    add("factor", cmd_factor, "common factor of a subspace", file=True)
+    add("verify", cmd_verify, "main-theorem verification on a subspace", file=True, rand=True)
 
     p = add("make-instance", cmd_make_instance, "planted instance V = W_n * p")
     p.add_argument("--vars", type=_at_least(0), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=10, help="coefficient bound for the planted data")
     p.add_argument("--out", default=None, help="also write the subspace file here")
 
-    p = add("probe", cmd_probe, "hyperplane restriction factor probe", needs_file=True)
-    add_ring(p)
-    add_rand(p)
+    p = add("probe", cmd_probe, "hyperplane restriction factor probe", file=True, rand=True)
     p.add_argument("--expected-m", dest="expected_m", type=int, default=None)
 
     p = add("hilbert", cmd_hilbert, "quotient Hilbert function of a monomial ideal")
@@ -427,8 +409,7 @@ def build_parser() -> CliParser:
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--hf", required=True, help="quotient Hilbert function, e.g. '1,4,7,8,8'")
 
-    p = add("ci-demo", cmd_ci_demo, "three-quadrics complete-intersection demonstration")
-    add_rand(p)
+    add("ci-demo", cmd_ci_demo, "three-quadrics complete-intersection demonstration", rand=True)
 
     return parser
 
@@ -450,7 +431,7 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

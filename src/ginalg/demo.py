@@ -58,11 +58,7 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     pattern; the complete-intersection check is confirmed on the hit.
     Returns (triple, candidates_examined) or None.
     """
-    heads = [
-        Form.monomial(NUM_VARS, (2, 0, 0, 0)),
-        Form.monomial(NUM_VARS, (1, 1, 0, 0)),
-        Form.monomial(NUM_VARS, (1, 0, 1, 0)),
-    ]
+    heads = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)]  # x1^2, x1*x2, x1*x3
     tails = [
         (0, 2, 0, 0),  # x2^2
         (0, 0, 2, 0),  # x3^2
@@ -79,10 +75,7 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     for coeff_choice in product(coefficients, repeat=3):
         for tail_choice in product(tails, repeat=3):
             examined += 1
-            gens = [
-                head + Form.monomial(NUM_VARS, tail, c)
-                for head, tail, c in zip(heads, tail_choice, coeff_choice)
-            ]
+            gens = [Form(NUM_VARS, 2, {head: 1, tail: c}) for head, tail, c in zip(heads, tail_choice, coeff_choice)]
             ok = True
             for d in range(3, DMAX + 1):
                 piece = ideal_graded_piece(gens, d, REVLEX, NUM_VARS)
@@ -140,11 +133,7 @@ def ci_quadrics_demo(seed: int = 0, trials: int = 3, bound: int = 100) -> DemoRe
     exactly the two ideals.  Every step's detail is replayable from the seed.
     """
     rng = random.Random(seed)
-    quadrics = []
-    while len(quadrics) < 3:
-        q = random_form(rng, NUM_VARS, 2, bound)
-        if not q.is_zero():
-            quadrics.append(q)
+    quadrics = [random_form(rng, NUM_VARS, 2, bound) for _ in range(3)]
     steps: list[DemoStep] = []
 
     dims = {d: ideal_graded_piece(quadrics, d, REVLEX, NUM_VARS).dim for d in (2, 3, 4)}

@@ -259,8 +259,6 @@ def make_instance(
         raise ValueError("need n >= 0 and m >= 1")
     rng = random.Random(seed)
     p = random_form(rng, s, m, bound)
-    while p.is_zero():
-        p = random_form(rng, s, m, bound)
     dim_w = comb(n + r - 1, r - 1)
     cofactor = random_subspace(s, n, dim_w, seed=rng.getrandbits(32), bound=bound)
     return _multiply_subspace(cofactor, p), p, cofactor
@@ -319,8 +317,6 @@ def hyperplane_factor_probe(
     samples: list[ProbeSample] = []
     for _ in range(trials):
         h = random_form(rng, space.num_vars, 1, bound)
-        while h.is_zero():
-            h = random_form(rng, space.num_vars, 1, bound)
         restricted = restrict_subspace(space, h)
         if restricted.dim == 0:
             samples.append(ProbeSample(format_form(h), None, None))

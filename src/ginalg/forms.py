@@ -70,20 +70,11 @@ def sort_monomials(order: str, exps: Iterable[Exponent]) -> list[Exponent]:
 
 
 def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
-    """All exponent vectors of the given total degree, descending revlex."""
+    """All exponent vectors of the given total degree, descending revlex: the last
+    exponent ascending, then the variables before it in the same order."""
     if num_vars == 0:
         return [()] if degree == 0 else []
-    out: list[Exponent] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, num_vars)
-    return sort_monomials(REVLEX, out)
+    return [m + (e,) for e in range(degree + 1) for m in monomials_of_degree(num_vars - 1, degree - e)]
 
 
 def _as_fraction(value) -> Fraction:
@@ -118,10 +109,10 @@ class Form:
                 raise ValueError(f"bad exponent vector {exps} for {num_vars} variables")
             if sum(exps) != degree:
                 raise ValueError(f"inhomogeneous form: degrees {degree} and {sum(exps)}")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
+            clean[exps] = coeff
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -551,9 +542,9 @@ def format_form(f: Form) -> str:
     return " ".join(pieces)
 
 
-def normalize_form(f: Form, order: str = REVLEX) -> Form:
-    """Scale to coprime integer coefficients with positive leading coefficient."""
+def normalize_form(f: Form) -> Form:
+    """Scale to coprime integer coefficients with positive revlex-leading coefficient."""
     if f.is_zero():
         return f
     row, _ = integer_row(f)
-    return form_from_row(f.num_vars, f.degree, row, 1 if row[initial_monomial(f, order)] > 0 else -1)
+    return form_from_row(f.num_vars, f.degree, row, 1 if row[initial_monomial(f, REVLEX)] > 0 else -1)

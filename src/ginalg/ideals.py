@@ -184,6 +184,8 @@ def enumerate_gin_candidates(num_vars: int, quotient_hf, dmax: int) -> list[Mono
     hf = list(quotient_hf)
     if not hf:
         raise ValueError("quotient Hilbert function must be nonempty")
+    if hf[0] != 1 or min(hf) < 0:
+        raise ValueError(f"a quotient Hilbert function is nonnegative with value 1 in degree 0, got {hf}")
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     if num_vars < 2:
@@ -205,7 +207,7 @@ def enumerate_gin_candidates(num_vars: int, quotient_hf, dmax: int) -> list[Mono
     slice_sizes = [ideal_counts[0]] + [
         ideal_counts[d] - ideal_counts[d - 1] for d in range(1, dmax + 2)
     ]
-    if any(t < 0 for t in slice_sizes) or slice_sizes[0] > 0:
+    if any(t < 0 for t in slice_sizes):
         return []
     if any(slice_sizes[d] > comb(d + s - 2, s - 2) for d in range(dmax + 2)):
         return []

@@ -312,12 +312,18 @@ def restrict_subspace(space: Subspace, linear: Form) -> Subspace:
 
 
 def random_form(rng: random.Random, num_vars: int, degree: int, bound: int) -> Form:
-    """Integer coefficients drawn uniformly from [-bound, bound] on every monomial."""
+    """Integer coefficients drawn uniformly from [-bound, bound] on every monomial,
+    redrawn until the form is nonzero."""
     if bound < 1:
-        # bound 0 draws only the zero form, and callers redraw until nonzero
+        # bound 0 draws only the zero form, and the redraw would loop forever
         raise ValueError("bound must be at least 1")
-    terms = {e: Fraction(rng.randint(-bound, bound)) for e in monomials_of_degree(num_vars, degree)}
-    return Form(num_vars, degree, terms)
+    monomials = monomials_of_degree(num_vars, degree)
+    if not monomials:
+        raise ValueError(f"no monomial of degree {degree} in {num_vars} variables")
+    while True:
+        terms = {e: Fraction(rng.randint(-bound, bound)) for e in monomials}
+        if any(terms.values()):
+            return Form(num_vars, degree, terms)
 
 
 def random_subspace(

@@ -109,6 +109,28 @@ def test_verify_certificate_round_trip(capsys, tmp_path):
     assert cert["checked"] is True and cert["m"] == 1
 
 
+@pytest.mark.parametrize("found", [0, 2])
+def test_verify_reports_a_factor_degree_other_than_m(capsys, monkeypatch, tmp_path, found):
+    # the planted instance certifies with m = 1; a common factor of another degree is a violation
+    from ginalg import Form, factors, parse_form
+
+    path = str(tmp_path / "inst.txt")
+    invoke(capsys, ["make-instance", "--vars", "4", "--r", "3", "--n", "1", "--m", "1", "--seed", "5", "--out", path])
+    factor = Form.one(4) if found == 0 else parse_form("x1^2", 4)
+    monkeypatch.setattr(factors, "common_factor", lambda space: (factor, found))
+    code, out, _ = invoke(capsys, ["verify", "--seed", "11", path])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "violation" and payload["certificate"] is None
+    details = payload["details"]
+    keys = {"basis", "gin", "factor", "factor_degree", "expected_degree", "seed", "trials", "bound"}
+    assert set(details) == (keys | {"note"} if found > 1 else keys)
+    assert len(details["basis"]) == 3 and details["gin"] == payload["gin"]["result"]
+    assert details["factor"] == format_form(factor)
+    assert (details["factor_degree"], details["expected_degree"]) == (found, 1)
+    assert (details["seed"], details["trials"], details["bound"]) == (11, 3, 100)
+
+
 def test_probe_subcommand(capsys, tmp_path):
     code, _, _ = invoke(
         capsys,
@@ -150,6 +172,13 @@ def test_enumerate_subcommand(capsys):
     assert payload["candidates"][1] == [
         "x1^2", "x1*x2", "x1*x3", "x2^3", "x2^2*x3", "x2*x3^2", "x3^4",
     ]
+
+
+@pytest.mark.parametrize("hf", ["-1,2", "2,3,3"])
+def test_enumerate_impossible_hilbert_function_exits_three(capsys, hf):
+    code, out, err = invoke(capsys, ["enumerate", "--vars", "2", "--dmax", "2", f"--hf={hf}"])
+    assert code == 3 and out == ""
+    assert "nonnegative with value 1 in degree 0" in err
 
 
 def test_ci_demo_text_output(capsys):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -44,6 +44,15 @@ def test_revlex_descending_s3_d2():
         "x2*x3",
         "x3^2",
     ]
+
+
+def test_monomials_of_degree_are_distinct_and_descending_revlex():
+    for s in range(1, 6):
+        for d in range(7):
+            monomials = monomials_of_degree(s, d)
+            assert monomials == sort_monomials(REVLEX, monomials)
+            assert len(set(monomials)) == len(monomials) == comb(d + s - 1, s - 1)
+            assert all(len(e) == s and sum(e) == d and min(e) >= 0 for e in monomials)
 
 
 def _cmp(order, a, b):

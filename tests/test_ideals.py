@@ -118,6 +118,13 @@ def test_enumerate_inconsistent_pattern_returns_empty():
     assert enumerate_gin_candidates(4, [1, 4, 9, 9, 9], 2) == []
 
 
+@pytest.mark.parametrize("pattern", [[-1, 2], [2, 3, 3], [0, 2], [1, -1], [1, 3, -2]])
+def test_enumerate_rejects_impossible_hilbert_function(pattern):
+    # a quotient Hilbert function is nonnegative, with value 1 in degree 0
+    with pytest.raises(ValueError, match="nonnegative with value 1 in degree 0"):
+        enumerate_gin_candidates(3, pattern, 2)
+
+
 def test_enumerate_candidates_self_check():
     for ideal in enumerate_gin_candidates(4, CI_QUOTIENT_HF, 4):
         assert is_borel_fixed(ideal)

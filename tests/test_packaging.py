@@ -1,0 +1,29 @@
+"""The package's promises: stdlib only at run time, and source that Python 3.10 accepts."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ginalg"
+
+
+def test_sources_parse_as_python_3_10():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_imports_only_the_standard_library():
+    # compared against the modules loaded before the import, since site may load others
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ginalg.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'ginalg'}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

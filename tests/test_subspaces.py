@@ -15,6 +15,7 @@ from ginalg import (
     initial_subspace,
     monomials_of_degree,
     parse_form,
+    random_form,
     random_subspace,
     restrict_subspace,
     transform_subspace,
@@ -142,3 +143,25 @@ def test_random_subspace_contract():
     assert random_subspace(3, 2, 3, seed=9) != random_subspace(3, 2, 3, seed=10)
     with pytest.raises(ValueError, match="out of range"):
         random_subspace(3, 2, 7, seed=0)
+
+
+def test_random_form_is_never_zero():
+    # one monomial and bound 1: a single draw is zero with probability 1/3
+    for seed in range(200):
+        assert not random_form(random.Random(seed), 1, 1, 1).is_zero()
+
+
+def test_random_form_is_the_first_nonzero_draw():
+    # coefficients are drawn on the monomials in descending revlex, as the callers replay them
+    rng, replay = random.Random(3), random.Random(3)
+    for _ in range(50):
+        f = random_form(rng, 2, 1, 1)
+        draw = [0, 0]
+        while not any(draw):
+            draw = [replay.randint(-1, 1) for _ in range(2)]
+        assert [f.coefficient(e) for e in monomials_of_degree(2, 1)] == draw
+
+
+def test_random_form_without_monomials_raises():
+    with pytest.raises(ValueError, match="no monomial of degree 2 in 0 variables"):
+        random_form(random.Random(0), 0, 2, 5)
