@@ -18,7 +18,9 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -69,12 +71,22 @@ def sort_monomials(order: str, exps: Iterable[Exponent]) -> list[Exponent]:
     return sorted(exps, key=lambda e: monomial_key(order, e), reverse=True)
 
 
-def monomials_of_degree(num_vars: int, degree: int) -> list[Exponent]:
+@cache
+def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
     """All exponent vectors of the given total degree, descending revlex: the last
-    exponent ascending, then the variables before it in the same order."""
+    exponent ascending, then the variables before it in the same order.  Cached per
+    (num_vars, degree), so every caller shares one tuple."""
     if num_vars == 0:
-        return [()] if degree == 0 else []
-    return [m + (e,) for e in range(degree + 1) for m in monomials_of_degree(num_vars - 1, degree - e)]
+        return ((),) if degree == 0 else ()
+    return tuple(m + (e,) for e in range(degree + 1) for m in monomials_of_degree(num_vars - 1, degree - e))
+
+
+@cache
+def monomial_positions(order: str, num_vars: int, degree: int) -> Mapping[Exponent, int]:
+    """Each monomial of the degree at its index in descending order under the order,
+    read-only and iterated in that order; cached like `monomials_of_degree`."""
+    descending = sort_monomials(order, monomials_of_degree(num_vars, degree))
+    return MappingProxyType({e: i for i, e in enumerate(descending)})
 
 
 def _as_fraction(value) -> Fraction:
@@ -241,7 +253,7 @@ class CoordinateChange:
         images = tuple(
             tuple((j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v) for row in matrix
         )
-        if len(RowEchelon(REVLEX, ({(j,): c for j, c in image} for image in images)).rows) < s:
+        if len(RowEchelon(None, ({j: c for j, c in image} for image in images)).rows) < s:
             raise ValueError("singular coordinate change matrix")
         object.__setattr__(self, "num_vars", s)
         object.__setattr__(self, "matrix", matrix)

@@ -6,13 +6,27 @@ open set of changes yields the true gin and every other change a smaller
 one, so the largest trial is reported; unanimous trials are strong
 evidence; disagreement is surfaced in the report, never hidden.
 
-A gin trial of a subspace reads only the pivots of the moved subspace gV,
-never its rows (`subspaces.initial_after_change`): the columns of gV are
-scanned in descending order, each computed from the transposed change
-through A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g), and the scan
-stops at the dim V-th independent column.  The pivots of an echelon form
-are exactly its greedy column basis, and every column is a nonzero
-integer multiple of the true one, so the outcome is the exact in(gV).
+A gin trial reads only pivots, never rows, so it eliminates modulo a prime
+p of its own: `random_prime` draws p uniformly from the primes in
+[2^60, 2^61), from a stream seeded by the trial seed alone, so the
+coordinate change is drawn as it would be without it.  A trial of a
+subspace (`subspaces.initial_after_change`) scans the columns of the moved
+subspace gV in descending order, each computed from the transposed change
+through A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g), and stops at
+the dim V-th independent column.  A trial of an ideal eliminates, in each
+degree d, the shifts of the moved generators (`initial_ideal_piece`).
+
+Columns independent mod p are independent over Q, so a trial is never
+larger than the exact in(gV), and equals it unless p divides one fixed
+nonzero k x k minor of the moved rows (k = dim V, or dim I_d per degree).
+A nonzero integer of B bits has at most B/60 prime factors above 2^60, and
+about 2.7e16 primes lie in [2^60, 2^61), so a trial slips with probability
+at most (B/60)/2.7e16, B the minor's Hadamard bit bound (the sum of the
+log2 of its rows' Euclidean norms).  A slip only makes a trial smaller,
+which the maximum estimator already tolerates.  What reads rows stays
+exact, and so do the deterministic reads: `ideal_graded_piece`,
+`initial_ideal_truncated` without a prime (the demo's initial ideals),
+the `in` subcommand and every Subspace.
 """
 
 from __future__ import annotations
@@ -22,14 +36,22 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import add
 
-from .forms import REVLEX, CoordinateChange, Form, apply_change, integer_row, monomial_key, monomials_of_degree
+from .forms import (
+    REVLEX,
+    CoordinateChange,
+    Form,
+    apply_change,
+    integer_row,
+    monomial_key,
+    monomial_positions,
+    monomials_of_degree,
+)
 from .ideals import MonomialIdeal, _is_borel_closed, minimalize
 from .subspaces import (
     MonomialSet,
     RowEchelon,
     Subspace,
     initial_after_change,
-    initial_subspace,
     restrict_subspace,
     transform_subspace,
 )
@@ -39,8 +61,14 @@ DEFAULT_BOUND = 100
 
 TRUNCATION_NOTE = "generators above dmax are not detected"
 
-# largest graded piece for initial_ideal_truncated; time climbs steeply with it (3 generic
-# quadrics, 3 trials, 2 vCPU: s=5 d=5, 126 monomials, 0.5 s; s=3 d=18, 190 monomials, 17 s)
+# the first 12 primes; as Miller-Rabin bases they decide primality exactly below
+# PRIME_TEST_LIMIT, the least strong pseudoprime to all of them (Sorenson-Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_LIMIT = 318665857834031151167461
+
+# largest graded piece for initial_ideal_truncated; time climbs steeply with it (gin-ideal of
+# 3 generic quadrics, 3 trials, mod p, 2 vCPU: s=5 d=5, 126 monomials, 0.1 s; s=3 d=18,
+# 190 monomials, 1.8 s; s=3 d=22, 276 monomials, 4.8 s)
 MAX_PIECE_MONOMIALS = 150
 
 
@@ -78,6 +106,41 @@ def random_change(num_vars: int, seed: int, bound: int = DEFAULT_BOUND) -> Coord
             continue
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 12 prime bases, for n below PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is beyond the range the prime test decides")
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd, twos = odd >> 1, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(seed: int) -> int:
+    """A prime uniform among those in [2^60, 2^61), deterministic in seed: odd numbers of
+    the range are drawn from a stream of the seed's own until one is prime."""
+    rng = random.Random(f"prime:{seed}")
+    while True:
+        n = rng.randrange(2**60 + 1, 2**61, 2)
+        if is_prime(n):
+            return n
+
+
 def _trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -104,11 +167,22 @@ def gin_subspace(
     """Initial subspace after a random change, repeated over independent trials.
 
     Each trial computes only the pivots of the moved subspace, from its columns through
-    the transposed change, with exact integer arithmetic; the moved rows are never built.
+    the transposed change, modulo the trial's prime; the moved rows are never built.
     """
     seeds = _trial_seeds(seed, trials)
-    outcomes = [initial_after_change(space, random_change(space.num_vars, ts, bound)) for ts in seeds]
+    outcomes = [
+        initial_after_change(space, random_change(space.num_vars, ts, bound), random_prime(ts)) for ts in seeds
+    ]
     return _report(outcomes, space.order, seeds)
+
+
+def _generator_rows(gens: list[Form], degree: int, num_vars: int):
+    """Each generator of degree at most d as its integer row, with the shifts that lift it to degree d."""
+    for g in gens:
+        if g.num_vars != num_vars:
+            raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
+        if g.degree <= degree:
+            yield integer_row(g)[0], monomials_of_degree(num_vars, degree - g.degree)
 
 
 def ideal_graded_piece(gens: list[Form], degree: int, order: str, num_vars: int) -> Subspace:
@@ -117,21 +191,33 @@ def ideal_graded_piece(gens: list[Form], degree: int, order: str, num_vars: int)
     Spanned by the rows x^a * g, each the integer row of g shifted by a.
     """
     echelon = RowEchelon(order)
-    for g in gens:
-        if g.num_vars != num_vars:
-            raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
-        if g.degree > degree:
-            continue
-        row, _ = integer_row(g)
-        for shift in monomials_of_degree(num_vars, degree - g.degree):
+    for row, shifts in _generator_rows(gens, degree, num_vars):
+        for shift in shifts:
             echelon.add({tuple(map(add, e, shift)): c for e, c in row.items()})
     return echelon.subspace(num_vars, degree)
 
 
+def initial_ideal_piece(
+    gens: list[Form], degree: int, order: str, num_vars: int, prime: int | None = None
+) -> MonomialSet:
+    """in(I_d): the pivots of the rows x^a * g, eliminated modulo prime when one is given.
+
+    Each row is keyed by its monomials' positions in descending order, so its pivot is
+    its smallest key, and the pivots are mapped back to exponents once.
+    """
+    positions = monomial_positions(order, num_vars, degree)
+    echelon = RowEchelon(None, prime=prime)
+    for row, shifts in _generator_rows(gens, degree, num_vars):
+        for shift in shifts:
+            echelon.add({positions[tuple(map(add, e, shift))]: c for e, c in row.items()})
+    return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
+
+
 def initial_ideal_truncated(
-    gens: list[Form], dmax: int, order: str = REVLEX
+    gens: list[Form], dmax: int, order: str = REVLEX, prime: int | None = None
 ) -> dict[int, MonomialSet]:
-    """in(I_d) for each degree up to dmax, computed degreewise; deterministic."""
+    """in(I_d) for each degree up to dmax, computed degreewise; deterministic.  Exact
+    without a prime; modulo one, each piece is at most the exact one."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -145,7 +231,7 @@ def initial_ideal_truncated(
             f"graded piece too large: s={num_vars}, d={dmax} has {size} monomials (limit {MAX_PIECE_MONOMIALS})"
         )
     return {
-        d: initial_subspace(ideal_graded_piece(gens, d, order, num_vars))
+        d: initial_ideal_piece(gens, d, order, num_vars, prime)
         for d in range(dmin, dmax + 1)
     }
 
@@ -182,9 +268,9 @@ def gin_ideal_truncated(
 ) -> GinIdealReport:
     """Minimal generators of the gin of (gens), truncated at dmax.
 
-    One coordinate change is shared across all degrees within a trial; the
-    transformed generators span the same graded pieces as the transformed
-    ideal, so the change is applied to the generators once.
+    One coordinate change and one prime are shared across all degrees within a
+    trial; the transformed generators span the same graded pieces as the
+    transformed ideal, so the change is applied to the generators once.
     """
     seeds = _trial_seeds(seed, trials)
     gens = [g for g in gens if not g.is_zero()]
@@ -195,7 +281,7 @@ def gin_ideal_truncated(
     for ts in seeds:
         change = random_change(num_vars, ts, bound)
         moved = [apply_change(g, change) for g in gens]
-        per_trial.append(initial_ideal_truncated(moved, dmax, order))
+        per_trial.append(initial_ideal_truncated(moved, dmax, order, random_prime(ts)))
     degrees = sorted(per_trial[0])
     per_degree = {d: _report([trial[d] for trial in per_trial], order, seeds) for d in degrees}
     stable = all(r.stable for r in per_degree.values())

@@ -6,10 +6,16 @@ pivot entry.  Its canonical rows, those of the reduced echelon form, have a
 zero entry at every other pivot; divided by their pivot entries they give
 the unique reduced echelon basis, so subspace equality is a syntactic check.
 
-Elimination (`RowEchelon`) is forward only and fraction-free, with the
-content divided out after every row operation.  The back-substitution to
-canonical rows runs once, when a Subspace's `rows` are first read.
-Fractions appear only when its `basis` is read.
+Elimination (`RowEchelon`) is forward only.  Over the integers it is
+fraction-free, with the content divided out after every row operation; the
+back-substitution to canonical rows runs once, when a Subspace's `rows` are
+first read, and Fractions appear only when its `basis` is read.  Given a
+prime, the same elimination runs in Z/p with monic rows.  Only pivots are
+read from it, never a Subspace: every Subspace, its rows and its basis are
+exact.  Columns independent mod p are independent over Q, so the pivots mod
+p are never larger than the exact ones (the count of pivots among the first
+k monomials is a rank, and a rank mod p is at most the rank over Q); they
+are equal unless p divides one fixed nonzero k x k minor, k the rank.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .forms import (
     CoordinateChange,
     Exponent,
     Form,
+    InvariantError,
     LinearImages,
     Row,
     _monomial_image,
@@ -35,6 +42,7 @@ from .forms import (
     format_monomial,
     integer_row,
     monomial_key,
+    monomial_positions,
     monomials_of_degree,
     primitive,
     restriction_images,
@@ -68,6 +76,11 @@ class Subspace:
             object.__setattr__(self, "_rows", _back_substitute(self._echelon))
             object.__setattr__(self, "_echelon", None)
         return self._rows
+
+    def spanning_rows(self) -> Iterable[Row]:
+        """Integer rows that span the subspace: the canonical rows once built, else the
+        echelon rows, so a read that needs any spanning set runs no back-substitution."""
+        return (self._echelon if self._rows is None else self._rows).values()
 
     @property
     def basis(self) -> tuple[Form, ...]:
@@ -142,6 +155,17 @@ def _cancel(row: Row, pivot_row: Row, column: Exponent) -> tuple[Row, int, int]:
     return out, a, content
 
 
+def _cancel_mod(row: dict, pivot_row: dict, column, prime: int) -> None:
+    """Subtract (row[column] mod prime) * pivot_row from row in place, for a pivot_row
+    monic at column.  The entries are left unreduced: each stays congruent mod prime to
+    the true one, and grows by less than prime^2 per call."""
+    b = row[column] % prime
+    get = row.get
+    for e, c in pivot_row.items():
+        row[e] = get(e, 0) - b * c
+    del row[column]
+
+
 def _reduce(rows: dict[Exponent, Row], row: Row) -> tuple[Row, Fraction]:
     """The residue of row against echelon rows and its factor: a primitive
     residue equal to factor * (row minus its part in their span)."""
@@ -165,38 +189,60 @@ def _back_substitute(echelon: dict[Exponent, Row]) -> dict[Exponent, Row]:
 
 
 class RowEchelon:
-    """Forward fraction-free elimination for one graded piece.
+    """Forward elimination for one graded piece, over the integers or modulo a prime.
 
-    `rows` maps each pivot to a primitive integer row whose leading monomial
-    under the order is that pivot and whose entry there is positive.  A new
-    row is top-reduced and existing rows are never touched.
+    `rows` maps each pivot to a row whose leading monomial is that pivot.  Over the
+    integers a row is primitive with a positive pivot entry; modulo `prime` its
+    entries lie in [0, prime) and its pivot entry is 1.  With `order` None the keys
+    are positions in a descending order, so the pivot is the smallest key.  A new row
+    is top-reduced and existing rows are never touched.
     """
 
-    __slots__ = ("order", "rows", "_key")
+    __slots__ = ("order", "prime", "rows", "_pivot")
 
-    def __init__(self, order: str, rows: Iterable[Row] = ()):
+    def __init__(self, order: str | None, rows: Iterable[Row] = (), prime: int | None = None):
         self.order = order
-        self.rows: dict[Exponent, Row] = {}
-        # each monomial's order key, computed the first time it is met
-        self._key = cache(partial(monomial_key, order))
+        self.prime = prime
+        self.rows: dict = {}
+        if order is None:
+            self._pivot = min
+        else:
+            # each monomial's order key, computed the first time it is met
+            self._pivot = partial(max, key=cache(partial(monomial_key, order)))
         for row in rows:
             self.add(row)
 
     def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
-        row, _ = primitive(row)
+        prime = self.prime
+        if prime is None:
+            row, _ = primitive(row)
+        else:
+            row = {e: v for e, c in row.items() if (v := c % prime)}
         while row:
-            pivot = max(row, key=self._key)
+            pivot = self._pivot(row)
+            if prime is not None and not row[pivot] % prime:
+                # _cancel_mod leaves entries unreduced, so a leading one may be 0 mod prime
+                del row[pivot]
+                continue
             pivot_row = self.rows.get(pivot)
             if pivot_row is None:
-                if row[pivot] < 0:
+                if prime is not None:
+                    inverse = pow(row[pivot], -1, prime)
+                    row = {e: v for e, c in row.items() if (v := c * inverse % prime)}
+                elif row[pivot] < 0:
                     row = {e: -c for e, c in row.items()}
                 self.rows[pivot] = row
                 return True
-            row = _cancel(row, pivot_row, pivot)[0]
+            if prime is None:
+                row = _cancel(row, pivot_row, pivot)[0]
+            else:
+                _cancel_mod(row, pivot_row, pivot, prime)
         return False
 
     def subspace(self, num_vars: int, degree: int) -> Subspace:
+        if self.prime is not None or self.order is None:
+            raise InvariantError("only exact rows keyed by exponents make a Subspace; read the pivots instead")
         return Subspace(num_vars, degree, self.order, self.rows)
 
 
@@ -263,17 +309,19 @@ def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
     return _span_of_images(space, change.images, space.num_vars)
 
 
-def initial_after_change(space: Subspace, change: CoordinateChange) -> MonomialSet:
+def initial_after_change(space: Subspace, change: CoordinateChange, prime: int | None = None) -> MonomialSet:
     """in(gV) for the change g, equal to initial_subspace(transform_subspace(space, change)),
-    read from the columns of the moved rows without building the rows.
+    read from the columns of the moved rows without building the rows; with a prime, the
+    columns are eliminated modulo it, and the pivots are at most the exact ones.
 
     With A = Sym^d(g) the moved rows are R*A.  Expanding (x^T g y)^d in x and in y gives
     A[u, m](g) = (u!/m!) * A[m, u](g^T), where u! is the product of the u_i!.  So column m
     of R*A, times m!, has entry sum_u R[r][u] * u! * T_m[u] in row r, where T_m is the
     image of m under the transposed substitution; a column's scale does not change the
-    pivots, and every number is an integer.  The pivots of an echelon form are its greedy
-    column basis: in descending order, a column is a pivot exactly when it is independent
-    of the columns before it.  So the scan stops at the dim-th pivot.
+    pivots.  Any rows that span V give the same column pivots, so the echelon rows serve.
+    The pivots of an echelon form are its greedy column basis: in descending order, a
+    column is a pivot exactly when it is independent of the columns before it.  So the
+    scan stops at the dim-th pivot.
     """
     if space.num_vars != change.num_vars:
         raise ValueError("subspace and coordinate change over different variable counts")
@@ -283,21 +331,22 @@ def initial_after_change(space: Subspace, change: CoordinateChange) -> MonomialS
     for i, image in enumerate(change.images):
         for j, c in image:
             transposed[j].append((i, c))
-    # each row as its monomials u and its entries times u!
-    scaled = [(list(row), [c * prod(map(factorial, u)) for u, c in row.items()]) for row in space.rows.values()]
+    # each row as its monomials u and its entries times u!, reduced modulo the prime if any
+    scaled = [(list(row), [c * prod(map(factorial, u)) for u, c in row.items()]) for row in space.spanning_rows()]
+    if prime is not None:
+        scaled = [(monomials, [c % prime for c in entries]) for monomials, entries in scaled]
     one = (0,) * space.num_vars
     table: dict[Exponent, Row] = {one: {one: 1}}
-    # a column is a row over one variable, entry r at the exponent (r,): the order serves
-    # only to test independence, and under revlex the smallest r is the pivot
-    columns = RowEchelon(REVLEX)
+    # a column is keyed by row index: the order serves only to test independence
+    columns = RowEchelon(None, prime=prime)
     pivots: list[Exponent] = []
-    for m in sort_monomials(space.order, monomials_of_degree(space.num_vars, space.degree)):
+    for m in monomial_positions(space.order, space.num_vars, space.degree):
         image = _monomial_image(m, transposed, table)
         column = {}
         for r, (monomials, entries) in enumerate(scaled):
             entry = sum(map(mul, entries, map(image.get, monomials, repeat(0))))
             if entry:
-                column[(r,)] = entry
+                column[r] = entry
         if columns.add(column):
             pivots.append(m)
             if len(pivots) == space.dim:
@@ -346,5 +395,4 @@ def random_subspace(
 
 
 def full_graded_piece(num_vars: int, degree: int, order: str = REVLEX) -> Subspace:
-    monomials = sort_monomials(order, monomials_of_degree(num_vars, degree))
-    return Subspace(num_vars, degree, order, {e: {e: 1} for e in monomials})
+    return Subspace(num_vars, degree, order, {e: {e: 1} for e in monomial_positions(order, num_vars, degree)})

@@ -24,6 +24,7 @@ from ginalg import (
     sort_monomials,
     try_divide,
 )
+from ginalg.forms import monomial_positions
 from oracles import ORDER_ORACLES
 
 
@@ -50,9 +51,23 @@ def test_monomials_of_degree_are_distinct_and_descending_revlex():
     for s in range(1, 6):
         for d in range(7):
             monomials = monomials_of_degree(s, d)
-            assert monomials == sort_monomials(REVLEX, monomials)
+            # one immutable tuple per (s, d), shared by every caller
+            assert isinstance(monomials, tuple) and monomials_of_degree(s, d) is monomials
+            assert list(monomials) == sort_monomials(REVLEX, monomials)
             assert len(set(monomials)) == len(monomials) == comb(d + s - 1, s - 1)
             assert all(len(e) == s and sum(e) == d and min(e) >= 0 for e in monomials)
+
+
+@pytest.mark.parametrize("order", [REVLEX, LEX, MIXED])
+def test_monomial_positions_index_the_descending_order(order):
+    for s, d in [(1, 3), (3, 0), (3, 4), (5, 3)]:
+        positions = monomial_positions(order, s, d)
+        descending = sort_monomials(order, monomials_of_degree(s, d))
+        assert list(positions) == descending
+        assert [positions[e] for e in descending] == list(range(len(descending)))
+        assert monomial_positions(order, s, d) is positions
+        with pytest.raises(TypeError):
+            positions[descending[0]] = 1
 
 
 def _cmp(order, a, b):

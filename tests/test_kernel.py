@@ -9,8 +9,8 @@ gV, must give the pivots of `transform_subspace`; the pieces of an ideal
 must have the leading terms of sympy's grevlex Groebner basis.
 
 Elimination is forward only; the back-substitution to canonical rows runs
-once, when a Subspace's `rows` are first read, and pivot-only reads never
-run it.
+once, when a Subspace's `rows` are first read, and pivot-only reads, gin
+trials among them, never run it.
 """
 
 import random
@@ -324,6 +324,13 @@ def test_pivot_reads_skip_back_substitution(order, monkeypatch):
         space_.basis
         assert calls == [1]
         assert hash(space_) == pivot_hash and space_.leading_monomials() == pivots
+    # a gin trial scans the columns of any spanning rows, so the echelon rows serve
+    fresh = echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d)
+    calls.clear()
+    report = gin_subspace(fresh, trials=2, seed=1)
+    assert calls == [] and len(report.result) == fresh.dim
+    fresh.rows
+    assert gin_subspace(fresh, trials=2, seed=1) == report
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)

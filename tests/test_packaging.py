@@ -1,4 +1,5 @@
-"""The package's promises: stdlib only at run time, and source that Python 3.10 accepts."""
+"""The package's promises: stdlib only at run time, source that Python 3.10 accepts,
+and no runtime check written as `assert`, which `python -O` strips."""
 
 import ast
 import subprocess
@@ -13,6 +14,14 @@ def test_sources_parse_as_python_3_10():
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_sources_hold_no_assert_statement():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_imports_only_the_standard_library():
