@@ -18,7 +18,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -71,11 +71,12 @@ def sort_monomials(order: str, exps: Iterable[Exponent]) -> list[Exponent]:
     return sorted(exps, key=lambda e: monomial_key(order, e), reverse=True)
 
 
-@cache
+# bounded, so a caller that walks many large degrees (hilbert_function) does not keep them all
+@lru_cache(maxsize=128)
 def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
     """All exponent vectors of the given total degree, descending revlex: the last
     exponent ascending, then the variables before it in the same order.  Cached per
-    (num_vars, degree), so every caller shares one tuple."""
+    (num_vars, degree), so callers share one tuple."""
     if num_vars == 0:
         return ((),) if degree == 0 else ()
     return tuple(m + (e,) for e in range(degree + 1) for m in monomials_of_degree(num_vars - 1, degree - e))
@@ -84,7 +85,7 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
 @cache
 def monomial_positions(order: str, num_vars: int, degree: int) -> Mapping[Exponent, int]:
     """Each monomial of the degree at its index in descending order under the order,
-    read-only and iterated in that order; cached like `monomials_of_degree`."""
+    read-only and iterated in that order; cached."""
     descending = sort_monomials(order, monomials_of_degree(num_vars, degree))
     return MappingProxyType({e: i for i, e in enumerate(descending)})
 
