@@ -21,32 +21,27 @@ from .forms import (
     parse_form,
     restrict,
     sort_monomials,
-    try_divide,
 )
 from .subspaces import (
     MonomialSet,
     Subspace,
     contains,
     echelonize,
-    full_graded_piece,
     initial_after_change,
     initial_subspace,
     random_form,
     random_subspace,
-    reduce_form,
     restrict_subspace,
     transform_subspace,
 )
 from .gin import (
     GinIdealReport,
     GinReport,
-    CommutationReport,
     gin_ideal_truncated,
     gin_subspace,
     ideal_graded_piece,
     initial_ideal_truncated,
     random_change,
-    restriction_commutation_check,
 )
 from .factors import (
     FactorCertificate,

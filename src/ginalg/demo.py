@@ -36,7 +36,7 @@ def is_three_quadric_ci(gens: list[Form]) -> bool:
     if len(gens) != 3 or any(g.degree != 2 for g in gens):
         return False
     return all(
-        ideal_graded_piece(gens, d, REVLEX, NUM_VARS).dim == want
+        len(ideal_graded_piece(gens, d, REVLEX, NUM_VARS)) == want
         for d, want in CI_IDEAL_DIMS.items()
     )
 
@@ -78,8 +78,7 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
             gens = [Form(NUM_VARS, 2, {head: 1, tail: c}) for head, tail, c in zip(heads, tail_choice, coeff_choice)]
             ok = True
             for d in range(3, DMAX + 1):
-                piece = ideal_graded_piece(gens, d, REVLEX, NUM_VARS)
-                if frozenset(piece.leading_monomials()) != target[d]:
+                if ideal_graded_piece(gens, d, REVLEX, NUM_VARS).exps != target[d]:
                     ok = False
                     break
             if ok and is_three_quadric_ci(gens):
@@ -136,7 +135,7 @@ def ci_quadrics_demo(seed: int = 0, trials: int = 3, bound: int = 100) -> DemoRe
     quadrics = [random_form(rng, NUM_VARS, 2, bound) for _ in range(3)]
     steps: list[DemoStep] = []
 
-    dims = {d: ideal_graded_piece(quadrics, d, REVLEX, NUM_VARS).dim for d in (2, 3, 4)}
+    dims = {d: len(ideal_graded_piece(quadrics, d, REVLEX, NUM_VARS)) for d in (2, 3, 4)}
     steps.append(
         DemoStep(
             "complete-intersection Hilbert pattern",

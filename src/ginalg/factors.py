@@ -2,10 +2,10 @@
 
 The multivariate GCD is linear algebra on the kernel's integer rows: the
 smallest-degree relation a*f = b*g among the shifted rows u*f and v*g,
-found with `RowEchelon`, gives the gcd as g / a, an exact quotient
-(`forms.divide_rows`, the division `try_divide` uses).  There is no
-modular step and no random choice.  Common factors and cofactor spaces are
-computed on a Subspace's canonical rows; Forms are built only for results.
+found with `RowEchelon`, gives the gcd as g / a, an exact quotient in Z[x]
+(`forms.divide_rows`).  There is no modular step and no random choice.
+Common factors and cofactor spaces are computed on a Subspace's canonical
+rows; Forms are built only for results.
 """
 
 from __future__ import annotations

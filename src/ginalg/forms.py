@@ -8,8 +8,8 @@ function of its inputs.
 Coordinate changes and restrictions run on primitive integer rows (see
 `sym_power`): the substitution is scaled to integers, every monomial's
 image is built once per call, and Fractions appear only in the Form
-returned.  Exact division (`try_divide`, and the GCD in `factors`) runs on
-the same rows, through `multiply_rows` and `divide_rows` in Z[x].
+returned.  Exact division (the GCD in `factors`) runs on the same rows,
+through `multiply_rows` and `divide_rows` in Z[x].
 """
 
 from __future__ import annotations
@@ -432,25 +432,6 @@ def restrict(f: Form, linear: Form) -> Form:
     return form_from_row(f.num_vars - 1, f.degree, image, scale * solved_coeff**f.degree)
 
 
-def try_divide(f: Form, divisor: Form) -> Form | None:
-    """Exact quotient f / divisor, or None when the division is not exact.
-
-    The primitive integer rows are divided in Z[x]: by Gauss's lemma their
-    quotient over Q, when there is one, has integer entries.
-    """
-    if divisor.is_zero():
-        raise ValueError("division by the zero form")
-    f._check_ring(divisor)
-    if f.is_zero():
-        return Form.zero(f.num_vars, max(f.degree - divisor.degree, 0))
-    row, scale = integer_row(f)
-    divisor_row, divisor_scale = integer_row(divisor)
-    quotient = divide_rows(row, divisor_row)
-    if quotient is None:
-        return None
-    return form_from_row(f.num_vars, f.degree - divisor.degree, quotient, scale / divisor_scale)
-
-
 # -- text format ------------------------------------------------------------
 #
 # form     = term { sign term }
@@ -535,9 +516,11 @@ def format_monomial(exps: Exponent) -> str:
 
 
 def format_form(f: Form) -> str:
-    """Canonical text: terms descending under revlex; parse(format(f)) == f."""
+    """Canonical text: terms descending under revlex; parse(format(f)) == f.  The zero
+    form of degree d > 0 is written 0*x1^d so that it reads back in degree d; over no
+    variables, where there is no x1, every zero form is written 0."""
     if f.is_zero():
-        return "0"
+        return f"0*x1^{f.degree}" if f.degree and f.num_vars else "0"
     pieces = []
     for exps in sort_monomials(REVLEX, f.terms):
         coeff = f.terms[exps]

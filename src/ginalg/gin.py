@@ -14,7 +14,7 @@ subspace (`subspaces.initial_after_change`) scans the columns of the moved
 subspace gV in descending order, each computed from the transposed change
 through A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g), and stops at
 the dim V-th independent column.  A trial of an ideal eliminates, in each
-degree d, the shifts of the moved generators (`initial_ideal_piece`).
+degree d, the shifts of the moved generators (`ideal_graded_piece`).
 
 Columns independent mod p are independent over Q, so a trial is never
 larger than the exact in(gV), and equals it unless p divides one fixed
@@ -24,9 +24,9 @@ about 2.7e16 primes lie in [2^60, 2^61), so a trial slips with probability
 at most (B/60)/2.7e16, B the minor's Hadamard bit bound (the sum of the
 log2 of its rows' Euclidean norms).  A slip only makes a trial smaller,
 which the maximum estimator already tolerates.  What reads rows stays
-exact, and so do the deterministic reads: `ideal_graded_piece`,
-`initial_ideal_truncated` without a prime (the demo's initial ideals),
-the `in` subcommand and every Subspace.
+exact, and so do the deterministic reads: `ideal_graded_piece` and
+`initial_ideal_truncated` without a prime (the demo's Hilbert pattern,
+initial ideals and witness search), the `in` subcommand and every Subspace.
 """
 
 from __future__ import annotations
@@ -47,14 +47,7 @@ from .forms import (
     monomials_of_degree,
 )
 from .ideals import MonomialIdeal, _is_borel_closed, minimalize
-from .subspaces import (
-    MonomialSet,
-    RowEchelon,
-    Subspace,
-    initial_after_change,
-    restrict_subspace,
-    transform_subspace,
-)
+from .subspaces import MonomialSet, RowEchelon, Subspace, initial_after_change
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 100
@@ -176,40 +169,25 @@ def gin_subspace(
     return _report(outcomes, space.order, seeds)
 
 
-def _generator_rows(gens: list[Form], degree: int, num_vars: int):
-    """Each generator of degree at most d as its integer row, with the shifts that lift it to degree d."""
-    for g in gens:
-        if g.num_vars != num_vars:
-            raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
-        if g.degree <= degree:
-            yield integer_row(g)[0], monomials_of_degree(num_vars, degree - g.degree)
-
-
-def ideal_graded_piece(gens: list[Form], degree: int, order: str, num_vars: int) -> Subspace:
-    """The degree-d piece of the ideal generated by homogeneous gens.
-
-    Spanned by the rows x^a * g, each the integer row of g shifted by a.
-    """
-    echelon = RowEchelon(order)
-    for row, shifts in _generator_rows(gens, degree, num_vars):
-        for shift in shifts:
-            echelon.add({tuple(map(add, e, shift)): c for e, c in row.items()})
-    return echelon.subspace(num_vars, degree)
-
-
-def initial_ideal_piece(
+def ideal_graded_piece(
     gens: list[Form], degree: int, order: str, num_vars: int, prime: int | None = None
 ) -> MonomialSet:
-    """in(I_d): the pivots of the rows x^a * g, eliminated modulo prime when one is given.
+    """in(I_d) for the ideal I generated by homogeneous gens: the pivots of the rows
+    x^a * g, each the integer row of g shifted by a, eliminated exactly, or modulo
+    prime when one is given.
 
     Each row is keyed by its monomials' positions in descending order, so its pivot is
     its smallest key, and the pivots are mapped back to exponents once.
     """
     positions = monomial_positions(order, num_vars, degree)
     echelon = RowEchelon(None, prime=prime)
-    for row, shifts in _generator_rows(gens, degree, num_vars):
-        for shift in shifts:
-            echelon.add({positions[tuple(map(add, e, shift))]: c for e, c in row.items()})
+    for g in gens:
+        if g.num_vars != num_vars:
+            raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
+        if g.degree <= degree:
+            row = integer_row(g)[0]
+            for shift in monomials_of_degree(num_vars, degree - g.degree):
+                echelon.add({positions[tuple(map(add, e, shift))]: c for e, c in row.items()})
     return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
 
 
@@ -230,10 +208,7 @@ def initial_ideal_truncated(
         raise ValueError(
             f"graded piece too large: s={num_vars}, d={dmax} has {size} monomials (limit {MAX_PIECE_MONOMIALS})"
         )
-    return {
-        d: initial_ideal_piece(gens, d, order, num_vars, prime)
-        for d in range(dmin, dmax + 1)
-    }
+    return {d: ideal_graded_piece(gens, d, order, num_vars, prime) for d in range(dmin, dmax + 1)}
 
 
 @dataclass(frozen=True)
@@ -288,55 +263,3 @@ def gin_ideal_truncated(
     union = [e for d in degrees for e in per_degree[d].result.exps]
     ideal = minimalize(union, num_vars)
     return GinIdealReport(ideal, per_degree, trials, seeds, stable, dmax)
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    """Empirical check that gin commutes with restriction to x_s = 0."""
-
-    equal: bool
-    restricted_gin: MonomialSet
-    gin_restricted: MonomialSet
-    change_seed: int
-    stable: bool
-    seeds: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "gin_of_restriction": self.restricted_gin.strings(),
-            "restriction_of_gin": self.gin_restricted.strings(),
-            "stable": self.stable,
-            "change_seed": self.change_seed,
-            "seeds": list(self.seeds),
-        }
-
-
-def restriction_commutation_check(
-    space: Subspace,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    bound: int = DEFAULT_BOUND,
-) -> CommutationReport:
-    """Compare gin((gV)|_{x_s=0}) with gin(V)|_{x_s=0} for a random g; revlex only."""
-    if space.num_vars < 2:
-        raise ValueError("need at least two variables to restrict")
-    if space.order != REVLEX:
-        raise ValueError("the commutation property is stated for revlex")
-    rng = random.Random(seed)
-    change_seed = rng.getrandbits(32)
-    seed_a = rng.getrandbits(32)
-    seed_b = rng.getrandbits(32)
-    moved = transform_subspace(space, random_change(space.num_vars, change_seed, bound))
-    last_var = Form.variable(space.num_vars, space.num_vars)
-    side_a = gin_subspace(restrict_subspace(moved, last_var), trials=trials, seed=seed_a, bound=bound)
-    side_b = gin_subspace(space, trials=trials, seed=seed_b, bound=bound)
-    restricted_b = side_b.result.drop_last_variable()
-    return CommutationReport(
-        equal=side_a.result == restricted_b,
-        restricted_gin=side_a.result,
-        gin_restricted=restricted_b,
-        change_seed=change_seed,
-        stable=side_a.stable and side_b.stable,
-        seeds=(seed_a, seed_b),
-    )

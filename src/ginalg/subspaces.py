@@ -135,12 +135,10 @@ class MonomialSet:
         return MonomialSet(self.num_vars - 1, self.degree, kept)
 
 
-def _cancel(row: Row, pivot_row: Row, column: Exponent) -> tuple[Row, int, int]:
-    """Clear row's entry at column with pivot_row, fraction-free.
-
-    Returns (r, a, g) where g*r = a*row - b*pivot_row for the coprime pair
-    a, b that cancels the column, and r is primitive.
-    """
+def _cancel(row: Row, pivot_row: Row, column: Exponent) -> Row:
+    """Clear row's entry at column with pivot_row, fraction-free: the primitive part
+    of a*row - b*pivot_row for the coprime pair a, b that cancels the column, a > 0
+    when pivot_row's entry at column is positive."""
     a, b = pivot_row[column], row[column]
     common = gcd(a, b)
     a, b = a // common, b // common
@@ -151,8 +149,7 @@ def _cancel(row: Row, pivot_row: Row, column: Exponent) -> tuple[Row, int, int]:
             out[e] = value
         else:
             del out[e]
-    out, content = primitive(out)
-    return out, a, content
+    return primitive(out)[0]
 
 
 def _cancel_mod(row: dict, pivot_row: dict, column, prime: int) -> None:
@@ -166,17 +163,14 @@ def _cancel_mod(row: dict, pivot_row: dict, column, prime: int) -> None:
     del row[column]
 
 
-def _reduce(rows: dict[Exponent, Row], row: Row) -> tuple[Row, Fraction]:
-    """The residue of row against echelon rows and its factor: a primitive
-    residue equal to factor * (row minus its part in their span)."""
-    row, den = primitive(row)
-    num = 1
+def _reduce(rows: dict[Exponent, Row], row: Row) -> Row:
+    """The normal form of row against canonical rows with positive pivot entries, as its
+    primitive positive multiple."""
+    row = primitive(row)[0]
     # clearing one pivot leaves the entries at the other pivots nonzero
-    pivots = [e for e in row if e in rows]
-    for pivot in pivots:
-        row, a, content = _cancel(row, rows[pivot], pivot)
-        num, den = num * a, den * content
-    return row, Fraction(num, den)
+    for pivot in [e for e in row if e in rows]:
+        row = _cancel(row, rows[pivot], pivot)
+    return row
 
 
 def _back_substitute(echelon: dict[Exponent, Row]) -> dict[Exponent, Row]:
@@ -184,7 +178,7 @@ def _back_substitute(echelon: dict[Exponent, Row]) -> dict[Exponent, Row]:
     those already reduced, which have no entry at a larger pivot."""
     reduced: dict[Exponent, Row] = {}
     for pivot in reversed(echelon):
-        reduced[pivot] = _reduce(reduced, echelon[pivot])[0]
+        reduced[pivot] = _reduce(reduced, echelon[pivot])
     return dict(reversed(reduced.items()))
 
 
@@ -235,7 +229,7 @@ class RowEchelon:
                 self.rows[pivot] = row
                 return True
             if prime is None:
-                row = _cancel(row, pivot_row, pivot)[0]
+                row = _cancel(row, pivot_row, pivot)
             else:
                 _cancel_mod(row, pivot_row, pivot, prime)
         return False
@@ -276,25 +270,12 @@ def initial_subspace(space: Subspace) -> MonomialSet:
     return MonomialSet(space.num_vars, space.degree, frozenset(space.leading_monomials()))
 
 
-def _residue(space: Subspace, f: Form) -> tuple[Row, Fraction]:
-    """The residue row of f against the space and its factor: residue = factor * normal form."""
+def contains(space: Subspace, f: Form) -> bool:
     if f.num_vars != space.num_vars:
         raise ValueError("form and subspace over different variable counts")
     if not f.is_zero() and f.degree != space.degree:
         raise ValueError(f"degree mismatch: form has {f.degree}, subspace has {space.degree}")
-    row, scale = integer_row(f)
-    residue, factor = _reduce(space.rows, row)
-    return residue, scale * factor
-
-
-def reduce_form(space: Subspace, f: Form) -> Form:
-    """Normal form of f against the echelon basis."""
-    residue, factor = _residue(space, f)
-    return form_from_row(f.num_vars, f.degree, residue, factor)
-
-
-def contains(space: Subspace, f: Form) -> bool:
-    return not _residue(space, f)[0]
+    return not _reduce(space.rows, integer_row(f)[0])
 
 
 def _span_of_images(space: Subspace, images: LinearImages, num_vars: int) -> Subspace:
@@ -393,6 +374,3 @@ def random_subspace(
         echelon.add(integer_row(random_form(rng, num_vars, degree, bound))[0])
     return echelon.subspace(num_vars, degree)
 
-
-def full_graded_piece(num_vars: int, degree: int, order: str = REVLEX) -> Subspace:
-    return Subspace(num_vars, degree, order, {e: {e: 1} for e in monomial_positions(order, num_vars, degree)})

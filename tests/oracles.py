@@ -2,8 +2,9 @@
 
 Nothing here touches the code paths being checked: the order oracles apply
 the definitions directly, the gcd oracle works by bounded degree
-enumeration with its own echelon routine plus trial division, the Hilbert
-oracles count by inclusion-exclusion / power-series expansion, and the
+enumeration with its own echelon routine plus trial division
+(`exact_quotient`, over `forms.divide_rows`), the Hilbert oracles count by
+inclusion-exclusion / power-series expansion, and the
 graded-piece oracles substitute and eliminate in `Form` arithmetic over
 `Fraction`, independently of the integer-row kernel in the package.
 """
@@ -26,9 +27,8 @@ from ginalg import (
     monomials_of_degree,
     normalize_form,
     random_form,
-    try_divide,
 )
-from ginalg.forms import integer_row
+from ginalg.forms import divide_rows, form_from_row, integer_row
 
 
 # -- monomial order definitions, applied literally ---------------------------
@@ -89,6 +89,17 @@ def _nullspace_vector(rows: list[list[Fraction]], ncols: int) -> list[Fraction] 
     return vec
 
 
+def exact_quotient(f: Form, divisor: Form) -> Form | None:
+    """f / divisor, or None when inexact: by Gauss's lemma the quotient of the primitive
+    integer rows in Z[x] is the quotient over Q up to the rows' scales."""
+    row, scale = integer_row(f)
+    divisor_row, divisor_scale = integer_row(divisor)
+    quotient = divide_rows(row, divisor_row)
+    if quotient is None:
+        return None
+    return form_from_row(f.num_vars, f.degree - divisor.degree, quotient, scale / divisor_scale)
+
+
 def oracle_gcd(f: Form, g: Form) -> Form:
     """gcd via the smallest-degree relation a*f = b*g.
 
@@ -117,9 +128,9 @@ def oracle_gcd(f: Form, g: Form) -> Form:
             continue
         a = Form(s, dg - t, {u: vec[i] for i, u in enumerate(a_basis)})
         assert not a.is_zero()
-        h = try_divide(g, a)
+        h = exact_quotient(g, a)
         assert h is not None and h * a == g, "oracle division failed"
-        cof = try_divide(f, h)
+        cof = exact_quotient(f, h)
         assert cof is not None and cof * h == f, f"oracle gcd does not divide f: {format_form(h)}"
         return normalize_form(h)
     return Form.one(s)

@@ -212,7 +212,7 @@ def test_criterion_07_gin_structural_properties(
         if colon_by_last_variable(report.ideal) != report.ideal:
             failures.append((seed, "not saturated"))
         for d, piece in report.per_degree.items():
-            source_dim = ideal_graded_piece(quadrics, d, REVLEX, 4).dim
+            source_dim = len(ideal_graded_piece(quadrics, d, REVLEX, 4))
             if hilbert_function(report.ideal, d) != comb(d + 3, 3) - source_dim:
                 failures.append((seed, d, "hilbert mismatch"))
     rows, _ = theorem_sweep

@@ -11,7 +11,6 @@ from ginalg import (
     Subspace,
     contains,
     echelonize,
-    full_graded_piece,
     initial_subspace,
     monomials_of_degree,
     parse_form,
@@ -74,7 +73,7 @@ def test_subspace_rows_in_any_pivot_order():
 def test_initial_subspace():
     assert initial_subspace(echelonize([F("x1^2", 2), F("x1*x2", 2)])).exps == {(2, 0), (1, 1)}
     assert initial_subspace(echelonize([F("x1*x3 - x2^2", 3)])).exps == {(0, 2, 0)}
-    full = full_graded_piece(3, 2)
+    full = echelonize([Form.monomial(3, e) for e in monomials_of_degree(3, 2)])
     assert initial_subspace(full).exps == set(monomials_of_degree(3, 2))
 
 
