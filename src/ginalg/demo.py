@@ -7,10 +7,9 @@ is the second candidate."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
-from .forms import MIXED, REVLEX, Form, format_form
+from .forms import MIXED, REVLEX, Form, Record, format_form
 from .gin import gin_ideal_truncated, ideal_graded_piece, initial_ideal_truncated
 from .ideals import (
     MonomialIdeal,
@@ -86,23 +85,19 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class DemoStep:
-    name: str
-    ok: bool
-    detail: dict
+class DemoStep(Record):
+    """One named check of the demo (`name`), whether it passed (`ok`) and its data (`detail`, a dict)."""
+
+    __slots__ = ("name", "ok", "detail")
 
     def to_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class DemoReport:
-    seed: int
-    trials: int
-    quadrics: tuple[str, ...]
-    steps: tuple[DemoStep, ...]
-    ok: bool
+class DemoReport(Record):
+    """The seed and trial count, the quadrics as text, the DemoSteps, and whether all passed."""
+
+    __slots__ = ("seed", "trials", "quadrics", "steps", "ok")
 
     def to_dict(self) -> dict:
         return {

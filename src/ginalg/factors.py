@@ -11,7 +11,6 @@ rows; Forms are built only for results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
 
@@ -19,6 +18,7 @@ from .forms import (
     REVLEX,
     Form,
     InvariantError,
+    Record,
     Row,
     divide_rows,
     form_from_row,
@@ -160,13 +160,11 @@ STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
-    factor: Form
-    factor_degree: int
-    cofactor_space: Subspace
-    params: tuple[int, int, int, int]  # (s, r, n, m)
-    checked: bool
+class FactorCertificate(Record):
+    """A common factor (a Form) of V of degree m, the cofactor Subspace W_n, the (s, r, n, m)
+    it was found for, and whether W_n times the factor was checked to equal V."""
+
+    __slots__ = ("factor", "factor_degree", "cofactor_space", "params", "checked")
 
     def to_dict(self) -> dict:
         s, r, n, m = self.params
@@ -180,13 +178,12 @@ class FactorCertificate:
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    status: str
-    gin: GinReport
-    shape: tuple[int, int, int] | None
-    certificate: FactorCertificate | None
-    details: dict = field(default_factory=dict)
+class TheoremReport(Record):
+    """A STATUS_* verdict, the GinReport, the gin's shape (r, n, m) or None, the
+    FactorCertificate or None, and the replay data of a violation (`details`, a dict)."""
+
+    __slots__ = ("status", "gin", "shape", "certificate", "details")
+    _defaults = {"details": dict}
 
     def to_dict(self) -> dict:
         out = {
@@ -264,24 +261,21 @@ def make_instance(
     return _multiply_subspace(cofactor, p), p, cofactor
 
 
-@dataclass(frozen=True)
-class ProbeSample:
-    hyperplane: str
-    factor_degree: int | None  # None when the restriction collapses to zero
-    factor: str | None
+class ProbeSample(Record):
+    """A hyperplane as text and the degree and text of the common factor of V restricted to
+    it; both are None when the restriction collapses to zero."""
+
+    __slots__ = ("hyperplane", "factor_degree", "factor")
 
     def to_dict(self) -> dict:
         return {"h": self.hyperplane, "factor_degree": self.factor_degree, "factor": self.factor}
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    samples: tuple[ProbeSample, ...]
-    subspace_factor_degree: int
-    expected_m: int | None
-    consistent: bool
-    anomaly: bool
-    seed: int
+class ProbeReport(Record):
+    """The ProbeSamples, V's own factor degree, the expected m or None, the consistency and
+    anomaly verdicts (bools) and the seed."""
+
+    __slots__ = ("samples", "subspace_factor_degree", "expected_m", "consistent", "anomaly", "seed")
 
     def to_dict(self) -> dict:
         return {

@@ -43,6 +43,44 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed: a defect, not bad input."""
 
 
+class Record:
+    """An immutable record.  A subclass's `__slots__` names its fields in positional order, and
+    its `_defaults` maps trailing fields to factories of their default values.  Records are
+    equal when of the same class with equal fields, and hash as the tuple of their fields.
+    Nothing is generated per class and nothing is imported for it, because every CLI call
+    is a new process that pays its import cost (see the README's Performance section)."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        missing = set(names) - set(values) - set(self._defaults)
+        if len(args) > len(names) or kwargs.keys() - set(names[len(args):]) or missing:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, each once")
+        for name in names:
+            object.__setattr__(self, name, values[name] if name in values else self._defaults[name]())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def normalize_order_name(name: str) -> str:
     try:
         return _ORDER_ALIASES[name.strip().lower()]

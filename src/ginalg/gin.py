@@ -32,7 +32,6 @@ initial ideals and witness search), the `in` subcommand and every Subspace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import comb
 from operator import add
 
@@ -40,6 +39,7 @@ from .forms import (
     REVLEX,
     CoordinateChange,
     Form,
+    Record,
     apply_change,
     integer_row,
     monomial_key,
@@ -65,13 +65,11 @@ PRIME_TEST_LIMIT = 318665857834031151167461
 MAX_PIECE_MONOMIALS = 150
 
 
-@dataclass(frozen=True)
-class GinReport:
-    result: MonomialSet
-    trials: int
-    agreements: int
-    seeds: tuple[int, ...]
-    stable: bool
+class GinReport(Record):
+    """gin V in one degree: the largest trial outcome (`result`, a MonomialSet), the trial
+    count, how many trials reached it, the trial seeds and whether it is stable."""
+
+    __slots__ = ("result", "trials", "agreements", "seeds", "stable")
 
     def to_dict(self) -> dict:
         return {
@@ -211,15 +209,12 @@ def initial_ideal_truncated(
     return {d: ideal_graded_piece(gens, d, order, num_vars, prime) for d in range(dmin, dmax + 1)}
 
 
-@dataclass(frozen=True)
-class GinIdealReport:
-    ideal: MonomialIdeal
-    per_degree: dict[int, GinReport]
-    trials: int
-    seeds: tuple[int, ...]
-    stable: bool
-    dmax: int
-    note: str = field(default=TRUNCATION_NOTE)
+class GinIdealReport(Record):
+    """The truncated gin as a MonomialIdeal, a GinReport per degree, the trial count and
+    seeds, whether every degree is stable, dmax and the truncation note."""
+
+    __slots__ = ("ideal", "per_degree", "trials", "seeds", "stable", "dmax", "note")
+    _defaults = {"note": lambda: TRUNCATION_NOTE}
 
     def to_dict(self) -> dict:
         return {

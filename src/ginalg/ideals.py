@@ -4,7 +4,6 @@ admissible initial-ideal candidates cut out by those constraints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -13,6 +12,7 @@ from .forms import (
     REVLEX,
     Exponent,
     InvariantError,
+    Record,
     format_monomial,
     monomial_key,
     monomials_of_degree,
@@ -31,12 +31,10 @@ def _canonical_sort(gens) -> tuple[Exponent, ...]:
     )
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Finite minimal generator set; construct through minimalize()."""
 
-    num_vars: int
-    gens: tuple[Exponent, ...]
+    __slots__ = ("num_vars", "gens")
 
     def degrees(self) -> list[int]:
         return [sum(e) for e in self.gens]

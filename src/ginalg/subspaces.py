@@ -21,7 +21,6 @@ are equal unless p divides one fixed nonzero k x k minor, k the rank.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import repeat
@@ -36,6 +35,7 @@ from .forms import (
     Form,
     InvariantError,
     LinearImages,
+    Record,
     Row,
     _monomial_image,
     form_from_row,
@@ -112,13 +112,10 @@ class Subspace:
         return f"Subspace(s={self.num_vars}, d={self.degree}, order={self.order}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class MonomialSet:
+class MonomialSet(Record):
     """A set of equal-degree exponents; in(V) and gin V in one degree."""
 
-    num_vars: int
-    degree: int
-    exps: frozenset
+    __slots__ = ("num_vars", "degree", "exps")
 
     def __len__(self) -> int:
         return len(self.exps)

@@ -17,7 +17,6 @@ from ginalg import (
     Form,
     common_factor,
     detect_gin_shape,
-    echelonize,
     gin_ideal_truncated,
     gin_subspace,
     hilbert_function,

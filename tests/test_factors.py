@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ginalg import (
-    REVLEX,
     Form,
     MonomialSet,
     common_factor,
@@ -19,7 +18,6 @@ from ginalg import (
     normalize_form,
     parse_form,
     random_form,
-    random_subspace,
     verify_main_theorem,
 )
 from oracles import exact_quotient, oracle_gcd

@@ -10,8 +10,15 @@ from ginalg import (
     MIXED,
     REVLEX,
     CoordinateChange,
+    FactorCertificate,
     Form,
+    GinIdealReport,
+    GinReport,
+    MonomialIdeal,
+    MonomialSet,
     ParseError,
+    ProbeReport,
+    TheoremReport,
     apply_change,
     format_form,
     format_monomial,
@@ -20,10 +27,14 @@ from ginalg import (
     monomials_of_degree,
     normalize_form,
     parse_form,
+    random_subspace,
     restrict,
     sort_monomials,
 )
-from ginalg.forms import monomial_positions
+from ginalg.demo import DemoReport, DemoStep
+from ginalg.factors import ProbeSample
+from ginalg.forms import Record, monomial_positions
+from ginalg.gin import TRUNCATION_NOTE
 from oracles import ORDER_ORACLES, exact_quotient
 
 
@@ -448,3 +459,62 @@ def test_normalize_form():
     assert normalize_form(f) == F("x1^2 - 2*x2^2", 2)
     assert normalize_form(-f) == F("x1^2 - 2*x2^2", 2)
     assert normalize_form(F("5", 2)) == Form.one(2)
+
+
+def _record_fields():
+    """Sample field values for each report type, built afresh on every call."""
+    monomials = MonomialSet(3, 2, frozenset({(2, 0, 0), (1, 1, 0)}))
+    gin = GinReport(monomials, 3, 3, (5, 6, 7), True)
+    certificate = FactorCertificate(F("x1", 3), 1, random_subspace(3, 1, 2, seed=0), (3, 3, 1, 1), True)
+    return {
+        MonomialSet: (3, 2, frozenset({(2, 0, 0)})),
+        MonomialIdeal: (3, ((2, 0, 0), (1, 1, 0))),
+        GinReport: (monomials, 3, 2, (5, 6, 7), False),
+        GinIdealReport: (MonomialIdeal(3, ((2, 0, 0),)), {2: gin}, 3, (5, 6, 7), True, 4, "note"),
+        FactorCertificate: (F("x1", 3), 1, random_subspace(3, 1, 2, seed=0), (3, 3, 1, 1), True),
+        TheoremReport: ("certificate", gin, (3, 1, 1), certificate, {"seed": 0}),
+        ProbeSample: ("x1 + x2", 1, "x1"),
+        ProbeReport: ((ProbeSample("x1", None, None),), 1, 1, True, False, 0),
+        DemoStep: ("gin = J1", True, {"stable": True}),
+        DemoReport: (0, 3, ("x1^2",), (DemoStep("gin = J1", True, {}),), True),
+    }
+
+
+# a dict among the fields makes a record unhashable, as it makes a tuple
+_UNHASHABLE_RECORDS = {GinIdealReport, TheoremReport, DemoStep, DemoReport}
+
+
+@pytest.mark.parametrize("cls", list(_record_fields()), ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    values = _record_fields()[cls]
+    a, b = cls(*values), cls(*_record_fields()[cls])
+    assert a == b
+    if cls in _UNHASHABLE_RECORDS:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert cls(**dict(zip(cls.__slots__, values))) == a
+
+    class Twin(Record):
+        __slots__ = cls.__slots__
+
+    assert a != Twin(*values) and Twin(*values) != a and a != values
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{cls.__slots__[0]: values[0]})
+
+
+def test_record_defaults():
+    fields = _record_fields()
+    assert GinIdealReport(*fields[GinIdealReport][:-1]).note == TRUNCATION_NOTE
+    first, second = (TheoremReport(*fields[TheoremReport][:-1]) for _ in range(2))
+    assert first.details == {} and first.details is not second.details
+    with pytest.raises(TypeError):
+        ProbeSample("x1", 1)

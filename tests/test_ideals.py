@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from ginalg import (
-    MonomialIdeal,
     colon_by_last_variable,
     contains_monomial,
     enumerate_gin_candidates,

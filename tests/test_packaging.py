@@ -24,15 +24,25 @@ def test_sources_hold_no_assert_statement():
     assert found == []
 
 
-def test_cli_imports_only_the_standard_library():
+def _modules_loaded_by_importing_cli() -> set[str]:
     # compared against the modules loaded before the import, since site may load others
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import ginalg.cli\n"
-        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "print(sorted(loaded - set(sys.stdlib_module_names) - {'ginalg'}))\n"
+        "print(*sorted(set(sys.modules) - before))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return set(result.stdout.split())
+
+
+def test_cli_imports_only_the_standard_library():
+    loaded = {name.partition(".")[0] for name in _modules_loaded_by_importing_cli()}
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"ginalg"}) == []
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # every CLI call is a new process; dataclasses would load these and exec code per class
+    generators = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted(generators & _modules_loaded_by_importing_cli()) == []
