@@ -30,6 +30,7 @@ from .forms import (
     Form,
     InvariantError,
     format_form,
+    integer_row,
     normalize_order_name,
     parse_form,
 )
@@ -132,7 +133,8 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
     return num_vars, header.get("d"), order, forms
 
 
-def load_subspace(path: str, args) -> Subspace:
+def read_subspace_file(path: str, args) -> tuple[int, int, str, list[Form]]:
+    """A forms file as one graded piece, of the header's d or its first nonzero form's degree."""
     num_vars, degree, order, forms = read_forms_file(path, args)
     nonzero = [f for f in forms if not f.is_zero()]
     if degree is None:
@@ -143,6 +145,11 @@ def load_subspace(path: str, args) -> Subspace:
     for f in nonzero:
         if f.degree != degree:
             raise ValueError(f"{path}: form of degree {f.degree} in a degree-{degree} subspace file")
+    return num_vars, degree, order, forms
+
+
+def load_subspace(path: str, args) -> Subspace:
+    num_vars, degree, order, forms = read_subspace_file(path, args)
     return echelonize(forms, order, num_vars=num_vars, degree=degree)
 
 
@@ -195,8 +202,8 @@ def cmd_in(args) -> int:
 
 
 def cmd_gin(args) -> int:
-    space = load_subspace(args.file, args)
-    report = gin_subspace(space, trials=args.trials, seed=args.seed, bound=args.bound)
+    num_vars, degree, order, forms = read_subspace_file(args.file, args)
+    report = gin_subspace([integer_row(f)[0] for f in forms], num_vars, degree, order, args.trials, args.seed, args.bound)
     text = ("stable " if report.stable else "UNSTABLE ") + " ".join(report.result.strings())
     _emit(args, report.to_dict(), text)
     return EXIT_OK if report.stable else EXIT_INCONCLUSIVE

@@ -292,7 +292,9 @@ class CoordinateChange:
         images = tuple(
             tuple((j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v) for row in matrix
         )
-        if len(RowEchelon(None, ({j: c for j, c in image} for image in images)).rows) < s:
+        rows = [dict(image) for image in images]
+        # invertible modulo a prime means invertible; only a matrix singular modulo it is eliminated exactly
+        if len(RowEchelon(None, rows, 2**61 - 1).rows) < s and len(RowEchelon(None, rows).rows) < s:
             raise ValueError("singular coordinate change matrix")
         object.__setattr__(self, "num_vars", s)
         object.__setattr__(self, "matrix", matrix)
@@ -508,7 +510,7 @@ def parse_form(text: str, num_vars: int) -> Form:
     """Parse the polynomial grammar; rejects inhomogeneous input."""
     if not text.strip():
         raise ParseError("empty form", 0)
-    terms: list[tuple[Fraction, Exponent]] = []
+    terms: list[tuple[int | Fraction, Exponent]] = []
     pos = 0
     while True:
         sign = _SIGN.match(text, pos)
@@ -530,16 +532,16 @@ def parse_form(text: str, num_vars: int) -> Form:
             if not 1 <= index <= num_vars:
                 raise ParseError(f"variable x{index} out of range 1..{num_vars}", factor.start())
             exps[index - 1] += _integer(factor, 2) if factor[2] else 1
-        coeff = Fraction(num, den)
-        terms.append((-coeff if sign[1] == "-" else coeff, tuple(exps)))
+        num = -num if sign[1] == "-" else num
+        terms.append((num if den == 1 else Fraction(num, den), tuple(exps)))
         pos = term.end()
 
     degrees = sorted({sum(e) for _, e in terms})
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous form: degrees {degrees[0]} and {degrees[-1]}")
-    collected: dict[Exponent, Fraction] = {}
+    collected: dict[Exponent, int | Fraction] = {}
     for coeff, exps in terms:
-        collected[exps] = collected.get(exps, Fraction(0)) + coeff
+        collected[exps] = collected[exps] + coeff if exps in collected else coeff
     return Form(num_vars, degrees[0], collected)
 
 

@@ -6,13 +6,16 @@ open set of changes yields the true gin and every other change a smaller
 one, so the largest trial is reported; unanimous trials are strong
 evidence; disagreement is surfaced in the report, never hidden.
 
-A gin trial reads only pivots, never rows, so it eliminates modulo a prime
-p of its own: `random_prime` draws p uniformly from the primes in
-[2^60, 2^61), from a stream seeded by the trial seed alone, so the
-coordinate change is drawn as it would be without it.  A trial of a
-subspace (`subspaces.initial_after_change`) scans the columns of the moved
-subspace gV in descending order, each computed from the transposed change
-through A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g), and stops at
+A gin trial reads only pivots, never rows, so it works modulo a prime p of
+its own: `random_prime` draws p uniformly from the primes in [2^60, 2^61),
+from a stream seeded by the trial seed alone, so the coordinate change is
+drawn as it would be without it.  A trial of a subspace
+(`subspaces.initial_after_change`) takes V as any integer rows that span
+it, so `gin` runs no elimination before the trials.  It scans the columns
+of gV in descending order, each from the transposed change through
+A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g): every transposed
+monomial image is a list mod p over the positions of its degree, built
+from one a degree lower through cached position tables.  The scan stops at
 the dim V-th independent column.  A trial of an ideal eliminates, in each
 degree d, the shifts of the moved generators (`ideal_graded_piece`).
 
@@ -34,12 +37,14 @@ from __future__ import annotations
 import random
 from math import comb
 from operator import add
+from typing import Collection
 
 from .forms import (
     REVLEX,
     CoordinateChange,
     Form,
     Record,
+    Row,
     apply_change,
     integer_row,
     monomial_key,
@@ -47,7 +52,7 @@ from .forms import (
     monomials_of_degree,
 )
 from .ideals import MonomialIdeal, _is_borel_closed, minimalize
-from .subspaces import MonomialSet, RowEchelon, Subspace, initial_after_change
+from .subspaces import MonomialSet, RowEchelon, initial_after_change
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 100
@@ -150,21 +155,26 @@ def _report(outcomes: list[MonomialSet], order: str, seeds: tuple[int, ...]) -> 
 
 
 def gin_subspace(
-    space: Subspace,
+    rows: Collection[Row],
+    num_vars: int,
+    degree: int,
+    order: str,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     bound: int = DEFAULT_BOUND,
 ) -> GinReport:
-    """Initial subspace after a random change, repeated over independent trials.
+    """Initial subspace of the span V of integer rows after a random change, repeated over
+    independent trials.  Any rows that span V give the same report, so none is eliminated.
 
     Each trial computes only the pivots of the moved subspace, from its columns through
     the transposed change, modulo the trial's prime; the moved rows are never built.
     """
     seeds = _trial_seeds(seed, trials)
     outcomes = [
-        initial_after_change(space, random_change(space.num_vars, ts, bound), random_prime(ts)) for ts in seeds
+        initial_after_change(rows, num_vars, degree, order, random_change(num_vars, ts, bound), random_prime(ts))
+        for ts in seeds
     ]
-    return _report(outcomes, space.order, seeds)
+    return _report(outcomes, order, seeds)
 
 
 def ideal_graded_piece(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
-from itertools import repeat
 from math import comb, factorial, gcd, prod
 from operator import mul
 from typing import Iterable
@@ -37,7 +36,6 @@ from .forms import (
     LinearImages,
     Record,
     Row,
-    _monomial_image,
     form_from_row,
     format_monomial,
     integer_row,
@@ -287,49 +285,71 @@ def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
     return _span_of_images(space, change.images, space.num_vars)
 
 
-def initial_after_change(space: Subspace, change: CoordinateChange, prime: int | None = None) -> MonomialSet:
-    """in(gV) for the change g, equal to initial_subspace(transform_subspace(space, change)),
-    read from the columns of the moved rows without building the rows; with a prime, the
-    columns are eliminated modulo it, and the pivots are at most the exact ones.
+@cache
+def _position_tables(order: str, num_vars: int, degree: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """For degree >= 1, in monomial_positions: each monomial's first variable j and the position
+    of the monomial over x_j a degree lower; for each x_j, that of x_j times each one lower."""
+    below = monomial_positions(order, num_vars, degree - 1)
+    here = monomial_positions(order, num_vars, degree)
+    parents = [(j := next(k for k, e in enumerate(m) if e), below[m[:j] + (m[j] - 1,) + m[j + 1 :]]) for m in here]
+    times = [[here[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in below] for j in range(num_vars)]
+    return parents, times
+
+
+def initial_after_change(
+    rows: Iterable[Row], num_vars: int, degree: int, order: str, change: CoordinateChange, prime: int | None = None
+) -> MonomialSet:
+    """in(gV) for the change g and the span V of integer rows, dependent or zero ones
+    allowed: initial_subspace(transform_subspace(V, change)), read from the columns of the
+    moved rows without building them; with a prime, all is reduced modulo it, and the
+    pivots are at most the exact ones.
 
     With A = Sym^d(g) the moved rows are R*A.  Expanding (x^T g y)^d in x and in y gives
     A[u, m](g) = (u!/m!) * A[m, u](g^T), where u! is the product of the u_i!.  So column m
     of R*A, times m!, has entry sum_u R[r][u] * u! * T_m[u] in row r, where T_m is the
     image of m under the transposed substitution; a column's scale does not change the
-    pivots.  Any rows that span V give the same column pivots, so the echelon rows serve.
-    The pivots of an echelon form are its greedy column basis: in descending order, a
-    column is a pivot exactly when it is independent of the columns before it.  So the
-    scan stops at the dim-th pivot.
+    pivots.  Any rows that span V give the same column pivots.  The pivots of an echelon
+    form are its greedy column basis: in descending order, a column is a pivot exactly
+    when it is independent of the columns before it.  So the scan stops once the pivots
+    number the nonzero rows, dim V unless they are dependent.  T_m is a list over the
+    positions of degree d, built on first use from T_{m/x_j}, x_j the first variable of m.
     """
-    if space.num_vars != change.num_vars:
-        raise ValueError("subspace and coordinate change over different variable counts")
-    if not space.dim:
-        return MonomialSet(space.num_vars, space.degree, frozenset())
-    transposed: list[list[tuple[int, int]]] = [[] for _ in change.images]
-    for i, image in enumerate(change.images):
-        for j, c in image:
-            transposed[j].append((i, c))
-    # each row as its monomials u and its entries times u!, reduced modulo the prime if any
-    scaled = [(list(row), [c * prod(map(factorial, u)) for u, c in row.items()]) for row in space.spanning_rows()]
+    if num_vars != change.num_vars:
+        raise ValueError("rows and coordinate change over different variable counts")
+    rows = [row for row in rows if row]
+    if not rows:
+        return MonomialSet(num_vars, degree, frozenset())
+    positions = monomial_positions(order, num_vars, degree)
+    transposed = [[(i, c) for i, image in enumerate(change.images) for k, c in image if k == j] for j in range(num_vars)]
+    # each row as the positions of its monomials u and its entries times u!
+    scaled = [([positions[u] for u in row], [c * prod(map(factorial, u)) for u, c in row.items()]) for row in rows]
     if prime is not None:
-        scaled = [(monomials, [c % prime for c in entries]) for monomials, entries in scaled]
-    one = (0,) * space.num_vars
-    table: dict[Exponent, Row] = {one: {one: 1}}
+        scaled = [(places, [c % prime for c in entries]) for places, entries in scaled]
+    # images[k][i]: T of the monomial at position i of degree k, None until built
+    images = [[[1]]] + [[None] * len(monomial_positions(order, num_vars, k)) for k in range(1, degree + 1)]
+
+    def image_of(k: int, i: int) -> list[int]:
+        if images[k][i] is None:
+            parents, times = _position_tables(order, num_vars, k)
+            j, below = parents[i]
+            lower, got = image_of(k - 1, below), [0] * len(parents)
+            for slot, c in transposed[j]:
+                for q, a in zip(times[slot], lower):
+                    got[q] += c * a
+            images[k][i] = got if prime is None else [v % prime for v in got]
+        return images[k][i]
+
     # a column is keyed by row index: the order serves only to test independence
     columns = RowEchelon(None, prime=prime)
     pivots: list[Exponent] = []
-    for m in monomial_positions(space.order, space.num_vars, space.degree):
-        image = _monomial_image(m, transposed, table)
-        column = {}
-        for r, (monomials, entries) in enumerate(scaled):
-            entry = sum(map(mul, entries, map(image.get, monomials, repeat(0))))
-            if entry:
-                column[r] = entry
-        if columns.add(column):
+    for m, i in positions.items():
+        image = image_of(degree, i)
+        dots = (sum(map(mul, entries, map(image.__getitem__, places))) for places, entries in scaled)
+        if columns.add({r: entry for r, entry in enumerate(dots) if entry}):
             pivots.append(m)
-            if len(pivots) == space.dim:
+            if len(pivots) == len(rows):
                 break
-    return MonomialSet(space.num_vars, space.degree, frozenset(pivots))
+    return MonomialSet(num_vars, degree, frozenset(pivots))
 
 
 def restrict_subspace(space: Subspace, linear: Form) -> Subspace:

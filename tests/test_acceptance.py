@@ -37,7 +37,7 @@ from ginalg import (
 )
 from ginalg.ideals import colon_by_last_variable
 from ginalg.demo import CI_QUOTIENT_HF, J1, J2, is_three_quadric_ci, truncated_initial_ideal
-from oracles import oracle_gcd
+from oracles import oracle_gcd, spanning_args
 
 QUADRIC_SEEDS = [101, 202, 303, 404, 505]
 PARAMETER_SETS = [(3, 3, 1, 1), (3, 3, 2, 1), (4, 3, 1, 1), (4, 3, 1, 2)]
@@ -100,7 +100,7 @@ def contrapositive_sweep():
             _, degree = common_factor(space)
             if degree != 0:
                 continue
-            report = gin_subspace(space, trials=3, seed=seed, bound=100)
+            report = gin_subspace(*spanning_args(space), trials=3, seed=seed, bound=100)
             rows.append((params, seed, report))
             collected += 1
     return rows

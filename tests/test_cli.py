@@ -2,10 +2,11 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ginalg import format_form, random_form
+from ginalg import echelonize, format_form, random_form
 from ginalg.cli import run
 
 
@@ -279,6 +280,66 @@ def test_unstable_gin_exits_inconclusive(capsys, tmp_path):
     assert payload["stable"] is False and payload["agreements"] < payload["trials"]
     # the largest trial is reported: the Borel-fixed gin, not the majority x1^2 x2^2
     assert payload["result"] == ["x1^2", "x1*x2"]
+    # the same span written with a duplicate, a multiple and a zero row gives the same report
+    path.write_text("s=3 d=2 order=revlex\nx1^2 + x3^2\nx1*x3 - x2^2\n0\n-2*x2^2 + 2*x1*x3\nx1^2 + x3^2\n")
+    assert invoke(capsys, ["gin", "--seed", "0", "--bound", "1", str(path)])[:2] == (code, out)
+
+
+@pytest.mark.parametrize("order", ["revlex", "lex", "mixed"])
+def test_gin_of_spanning_rows_equals_gin_of_the_echelon_basis(capsys, tmp_path, order):
+    """gin reads the file's forms as spanning rows, with no elimination first: duplicate,
+    scalar-multiple and zero rows give byte for byte the report of the echelon basis."""
+    rng = random.Random(len(order))
+    forms = [random_form(rng, 4, 2, 3) for _ in range(3)]
+    combination = forms[0] * Fraction(-3, 2) + forms[2] * 5
+    spanning = tmp_path / "spanning.txt"
+    lines = [format_form(f) for f in forms + [forms[1], forms[0] * 4, combination]] + ["0", "0*x1^2"]
+    rng.shuffle(lines)
+    spanning.write_text(f"s=4 d=2 order={order}\n" + "\n".join(lines) + "\n")
+    basis = tmp_path / "basis.txt"
+    space = echelonize(forms, order)
+    basis.write_text(f"s=4 d=2 order={order}\n" + "\n".join(format_form(f) for f in space.basis) + "\n")
+    for flags in ([], ["--seed", "7919", "--text"], ["--seed", "3", "--bound", "1", "--trials", "4"]):
+        expected = invoke(capsys, ["gin", *flags, str(basis)])
+        assert expected[0] in (0, 2) and expected[2] == ""
+        assert invoke(capsys, ["gin", *flags, str(spanning)]) == expected, flags
+    # the zero subspace, as a header alone or as zero rows
+    zero = tmp_path / "zero.txt"
+    zero.write_text(f"s=4 d=2 order={order}\n")
+    expected = invoke(capsys, ["gin", str(zero)])
+    assert expected[0] == 0 and json.loads(expected[1])["result"] == []
+    zero.write_text(f"s=4 d=2 order={order}\n0\n0*x1^2\n")
+    assert invoke(capsys, ["gin", str(zero)]) == expected
+
+
+@pytest.mark.parametrize(
+    "flags, body, message, commands",
+    [
+        ([], "s=2 d=2\nx1^2\nx1*x2^2\n", "error: {path}: form of degree 3 in a degree-2 subspace file\n", ("gin", "in")),
+        ([], "s=2\nx1^2\nx2^3\n", "error: {path}: form of degree 3 in a degree-2 subspace file\n", ("gin", "in")),
+        ([], "s=2\n# nothing\n", "error: {path}: empty body needs d=<int> in the header\n", ("gin", "in")),
+        (["--vars", "0"], "x1^2\n", "error: {path}:1: variable x1 out of range 1..0 (at position 0)\n", ("gin", "in")),
+        (["--vars", "0"], "1\n", "error: need at least one variable\n", ("gin",)),
+        (
+            ["--vars", "-1"],
+            "x1^2\n",
+            "usage error: argument --vars: needs an integer of at least 0, got '-1'\nusage: ginalg [-h] command ...\n",
+            ("gin", "in"),
+        ),
+        ([], "s=2 d=x\nx1^2\n", "error: {path}:1: header 'd=x' needs a nonnegative integer\n", ("gin", "in")),
+        ([], "s=2 q=1\nx1^2\n", "error: {path}:1: unknown header key 'q'; expected s, d or order\n", ("gin", "in")),
+        ([], "s=2 d\nx1^2\n", "error: {path}:1: bad header token 'd'\n", ("gin", "in")),
+    ],
+    ids=["wrong-degree", "wrong-degree-no-d", "empty-body", "vars-zero", "vars-zero-constant", "vars-negative",
+         "header-count", "header-key", "header-token"],
+)
+def test_subspace_file_errors_exit_three_with_one_message(capsys, tmp_path, flags, body, message, commands):
+    """gin skips the elimination, not the checks: it reads the file through the same
+    degree inference and degree check as `in`, so its errors are the same bytes."""
+    path = tmp_path / "V.txt"
+    path.write_text(body)
+    for command in commands:
+        assert invoke(capsys, [command, *flags, str(path)]) == (3, "", message.format(path=path)), command
 
 
 def test_randomized_subcommands_are_byte_deterministic(capsys, tmp_path):

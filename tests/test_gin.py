@@ -31,6 +31,7 @@ from ginalg import (
 from ginalg import gin as gin_module
 from ginalg.forms import ORDER_NAMES
 from ginalg.ideals import colon_by_last_variable
+from oracles import spanning_args
 
 
 def F(text, s):
@@ -49,7 +50,7 @@ def test_random_change_contract():
 def test_gin_of_linear_form_times_s1():
     linear = F("x1 + x2", 2)
     space = echelonize([F("x1", 2) * linear, F("x2", 2) * linear])
-    report = gin_subspace(space, trials=3, seed=1)
+    report = gin_subspace(*spanning_args(space), trials=3, seed=1)
     assert report.stable
     assert report.result.exps == {(2, 0), (1, 1)}
 
@@ -60,7 +61,7 @@ def _full_piece(s, d):
 
 def test_gin_of_full_graded_piece_is_itself():
     space = _full_piece(2, 2)
-    report = gin_subspace(space, trials=3, seed=0)
+    report = gin_subspace(*spanning_args(space), trials=3, seed=0)
     assert report.stable and report.result.exps == {(2, 0), (1, 1), (0, 2)}
 
 
@@ -68,7 +69,7 @@ def test_gin_of_three_generic_quadrics_degree_two():
     rng = random.Random(2)
     quadrics = [random_form(rng, 4, 2, 100) for _ in range(3)]
     space = echelonize(quadrics, num_vars=4, degree=2)
-    report = gin_subspace(space, trials=3, seed=2)
+    report = gin_subspace(*spanning_args(space), trials=3, seed=2)
     assert report.stable
     assert report.result.exps == {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)}
 
@@ -76,18 +77,18 @@ def test_gin_of_three_generic_quadrics_degree_two():
 def test_gin_cardinality_and_invariance():
     for seed in range(6):
         V = random_subspace(3, 3, 4, seed=seed)
-        base = gin_subspace(V, trials=3, seed=seed)
+        base = gin_subspace(*spanning_args(V), trials=3, seed=seed)
         assert len(base.result) == V.dim
         moved = transform_subspace(V, random_change(3, seed=900 + seed))
-        again = gin_subspace(moved, trials=3, seed=seed + 50)
+        again = gin_subspace(*spanning_args(moved), trials=3, seed=seed + 50)
         if base.stable and again.stable:
             assert base.result == again.result
 
 
 def test_gin_report_determinism():
     V = random_subspace(3, 2, 3, seed=7)
-    a = gin_subspace(V, trials=3, seed=5, bound=50)
-    b = gin_subspace(V, trials=3, seed=5, bound=50)
+    a = gin_subspace(*spanning_args(V), trials=3, seed=5, bound=50)
+    b = gin_subspace(*spanning_args(V), trials=3, seed=5, bound=50)
     assert a == b and a.seeds == b.seeds
     assert a.agreements <= a.trials and a.stable == (a.agreements == a.trials)
 
@@ -112,8 +113,8 @@ def test_no_trial_exceeds_the_reported_gin():
         forms = [Form(s, d, t) for t in data.draw(st.lists(terms, min_size=1, max_size=6))]
         space = echelonize(forms, order, num_vars=s, degree=d)
         seed, bound = data.draw(st.integers(0, 999)), data.draw(st.integers(1, 2))
-        report = gin_subspace(space, trials=4, seed=seed, bound=bound)
-        outcomes = [initial_after_change(space, random_change(s, ts, bound)) for ts in report.seeds]
+        report = gin_subspace(*spanning_args(space), trials=4, seed=seed, bound=bound)
+        outcomes = [initial_after_change(*spanning_args(space), random_change(s, ts, bound)) for ts in report.seeds]
         assert all(key(o, order) <= key(report.result, order) for o in outcomes)
         assert report.agreements == outcomes.count(report.result)
         if report.stable:
@@ -126,7 +127,7 @@ def test_unanimous_gin_that_is_not_borel_fixed_is_unstable(monkeypatch):
     # with every trial the identity, all trials agree on in(V) = {x2^2}, which no
     # characteristic-0 gin can be: x1^2 = (x1/x2)*x2^2 is missing
     monkeypatch.setattr(gin_module, "random_change", lambda n, ts, bound: CoordinateChange.identity(n))
-    report = gin_subspace(echelonize([F("x2^2", 2)]), trials=3, seed=0)
+    report = gin_subspace(*spanning_args(echelonize([F("x2^2", 2)])), trials=3, seed=0)
     assert report.agreements == 3 and report.result.strings() == ["x2^2"]
     assert not report.stable
 
@@ -192,8 +193,9 @@ def _commutation(space, seed, trials=3, bound=100):
     change_seed, seed_a, seed_b = (rng.getrandbits(32) for _ in range(3))
     moved = transform_subspace(space, random_change(space.num_vars, change_seed, bound))
     last_var = Form.variable(space.num_vars, space.num_vars)
-    side_a = gin_subspace(restrict_subspace(moved, last_var), trials=trials, seed=seed_a, bound=bound)
-    side_b = gin_subspace(space, trials=trials, seed=seed_b, bound=bound)
+    restricted = restrict_subspace(moved, last_var)
+    side_a = gin_subspace(*spanning_args(restricted), trials=trials, seed=seed_a, bound=bound)
+    side_b = gin_subspace(*spanning_args(space), trials=trials, seed=seed_b, bound=bound)
     return side_a.result, side_b.result.drop_last_variable(), side_a.stable and side_b.stable
 
 

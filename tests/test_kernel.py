@@ -14,6 +14,7 @@ once, when a Subspace's `rows` are first read, and pivot-only reads, gin
 trials among them, never run it.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -38,11 +39,14 @@ from ginalg import (
     restrict_subspace,
     transform_subspace,
 )
+from ginalg import cli
 from ginalg import forms as forms_module
 from ginalg import gin as gin_module
 from ginalg import subspaces
 from ginalg.forms import ORDER_NAMES, REVLEX, format_form, integer_row
+from ginalg.gin import random_prime
 from oracles import (
+    spanning_args,
     oracle_apply_change,
     oracle_echelonize,
     oracle_ideal_graded_piece,
@@ -160,7 +164,7 @@ def test_initial_after_change_matches_moved_subspace(order, s, d):
     changes += [_change(rng, s, rational=False), _change(rng, s, rational=True)]
     for space in spaces:
         for change in changes:
-            assert initial_after_change(space, change) == _after_change_oracle(space, change)
+            assert initial_after_change(*spanning_args(space), change) == _after_change_oracle(space, change)
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)
@@ -174,9 +178,9 @@ def test_initial_after_change_of_monomial_subspaces(order, multiplier, factor_de
     changes = [random_change(5, seed, bound=1) for seed in range(3)] + [random_change(5, 7)]
     changes += [_change(rng, 5, rational=True), CoordinateChange.identity(5)]
     for change in changes:
-        got = initial_after_change(space, change)
+        got = initial_after_change(*spanning_args(space), change)
         assert got == _after_change_oracle(space, change) and len(got) == space.dim
-    assert initial_after_change(space, CoordinateChange.identity(5)).exps == frozenset(monomials)
+    assert initial_after_change(*spanning_args(space), CoordinateChange.identity(5)).exps == frozenset(monomials)
 
 
 def test_initial_after_change_property():
@@ -201,7 +205,7 @@ def test_initial_after_change_property():
             change = CoordinateChange(matrix)
         except ValueError:
             hypothesis.assume(False)
-        assert initial_after_change(space, change) == _after_change_oracle(space, change)
+        assert initial_after_change(*spanning_args(space), change) == _after_change_oracle(space, change)
 
     check()
 
@@ -220,9 +224,72 @@ def test_gin_subspace_never_builds_the_moved_rows(monkeypatch):
         (subspaces, "transform_subspace"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    report = gin_subspace(space, trials=3, seed=5)
+    report = gin_subspace(*spanning_args(space), trials=3, seed=5)
     assert report.seeds == seeds and report.stable
     assert expected == [report.result] * 3
+
+
+def test_gin_command_runs_no_exact_elimination(monkeypatch, tmp_path, capsys):
+    """The gin subcommand goes from the parsed forms to modular pivots: the integer row
+    operation, which every exact elimination runs, is never called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact elimination ran")
+
+    monkeypatch.setattr(subspaces, "_cancel", refuse)
+    path = tmp_path / "V.txt"
+    path.write_text("s=4 d=2 order=revlex\nx1^2 - x2*x4\nx1*x2 - x3*x4\n0\nx1*x3 - x4^2\n-3*x1^2 + 3*x2*x4\n")
+    assert cli.run(["gin", "--seed", "7", "--text", str(path)]) == 0
+    assert capsys.readouterr().out == "stable x1^2 x1*x2 x2^2\n"
+    assert cli.run(["gin", "--seed", "7", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "result": ["x1^2", "x1*x2", "x2^2"],
+        "trials": 3,
+        "agreements": 3,
+        "stable": True,
+        "seeds": [1390851128, 4071050724, 647892279],
+    }
+
+
+def test_scan_of_spanning_rows_equals_scan_of_echelon_rows():
+    """Integer combinations and zero rows added to the echelon rows change no pivot,
+    exactly or modulo a 61-bit prime."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(
+        s=st.integers(1, 4), d=st.integers(0, 3), order=st.sampled_from(ORDER_NAMES), seed=st.integers(0, 2**32 - 1)
+    )
+    @hypothesis.example(s=1, d=0, order=REVLEX, seed=0)
+    @hypothesis.example(s=1, d=3, order=REVLEX, seed=1)
+    @hypothesis.example(s=4, d=0, order=REVLEX, seed=2)
+    def check(s, d, order, seed):
+        rng = random.Random(seed)
+        monomials = monomials_of_degree(s, d)
+        forms = [
+            Form(s, d, {e: rng.randint(-3, 3) for e in monomials}) for _ in range(rng.randint(0, len(monomials)))
+        ]
+        space = echelonize(forms, order, num_vars=s, degree=d)
+        echelon = list(space.spanning_rows())
+        rows = echelon + [{}] * rng.randint(1, 2)
+        for _ in range(rng.randint(0, 4) if echelon else 0):
+            combination: dict = {}
+            for row in echelon:
+                a = rng.randint(-4, 4)
+                for e, c in row.items():
+                    combination[e] = combination.get(e, 0) + a * c
+            rows.append({e: c for e, c in combination.items() if c})
+        rng.shuffle(rows)
+        change = random_change(s, rng.getrandbits(32), bound=rng.choice([1, 3, 100]))
+        expected = _after_change_oracle(space, change)
+        assert initial_after_change(rows, s, d, order, change) == expected
+        prime = random_prime(rng.getrandbits(32))
+        modular = initial_after_change(echelon, s, d, order, change, prime)
+        assert initial_after_change(rows, s, d, order, change, prime) == modular
+        assert modular == expected
+
+    check()
 
 
 @pytest.mark.parametrize("order,s", CASES)
@@ -325,10 +392,10 @@ def test_pivot_reads_skip_back_substitution(order, monkeypatch):
     # a gin trial scans the columns of any spanning rows, so the echelon rows serve
     fresh = echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d)
     calls.clear()
-    report = gin_subspace(fresh, trials=2, seed=1)
+    report = gin_subspace(*spanning_args(fresh), trials=2, seed=1)
     assert calls == [] and len(report.result) == fresh.dim
     fresh.rows
-    assert gin_subspace(fresh, trials=2, seed=1) == report
+    assert gin_subspace(*spanning_args(fresh), trials=2, seed=1) == report
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)

@@ -29,6 +29,7 @@ from ginalg import gin as gin_module
 from ginalg.forms import ORDER_NAMES, InvariantError, apply_change
 from ginalg.gin import PRIME_TEST_LIMIT, is_prime, random_prime
 from ginalg.subspaces import RowEchelon
+from oracles import spanning_args
 
 
 def _key(order, pivots):
@@ -140,11 +141,12 @@ def test_modular_column_scan_matches_exact():
             space = random_subspace(s, d, dim, seed=rng.getrandbits(32), order=order)
             for seed in range(3):
                 change = random_change(s, rng.getrandbits(32))
-                assert initial_after_change(space, change, random_prime(seed)) == initial_after_change(space, change)
+                modular = initial_after_change(*spanning_args(space), change, random_prime(seed))
+                assert modular == initial_after_change(*spanning_args(space), change)
 
 
 def _exact_gin(space, seeds, bound):
-    outcomes = [initial_after_change(space, random_change(space.num_vars, ts, bound)) for ts in seeds]
+    outcomes = [initial_after_change(*spanning_args(space), random_change(space.num_vars, ts, bound)) for ts in seeds]
     return gin_module._report(outcomes, space.order, seeds)
 
 
@@ -158,7 +160,7 @@ def test_gin_subspace_modulo_2_is_at_most_the_exact_gin(order, monkeypatch):
     exact = [_exact_gin(space, gin_module._trial_seeds(7, 3), 2) for space in spaces]
     monkeypatch.setattr(gin_module, "random_prime", lambda seed: 2)
     for space, want in zip(spaces, exact):
-        got = gin_subspace(space, trials=3, seed=7, bound=2)
+        got = gin_subspace(*spanning_args(space), trials=3, seed=7, bound=2)
         assert got.seeds == want.seeds
         assert _never_larger(order, got.result.exps, want.result.exps)
 
