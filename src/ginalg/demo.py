@@ -18,7 +18,7 @@ from .ideals import (
     minimalize,
     parse_ideal,
 )
-from .subspaces import random_form
+from .subspaces import RowEchelon, random_form
 
 NUM_VARS = 4
 DMAX = 4
@@ -34,8 +34,9 @@ def is_three_quadric_ci(gens: list[Form]) -> bool:
     """Hilbert-pattern proxy for the regular-sequence property at desk scale."""
     if len(gens) != 3 or any(g.degree != 2 for g in gens):
         return False
+    echelon = RowEchelon(None)
     return all(
-        len(ideal_graded_piece(gens, d, REVLEX, NUM_VARS)) == want
+        len(ideal_graded_piece(gens, d, REVLEX, NUM_VARS, echelon=echelon)) == want
         for d, want in CI_IDEAL_DIMS.items()
     )
 
@@ -55,6 +56,8 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     in {-2..2} minus zero.  Candidates are rejected degree by degree
     against the target initial monomials, which also pins the Hilbert
     pattern; the complete-intersection check is confirmed on the hit.
+    One echelon per candidate is grown through degrees 2 to DMAX; degree 2
+    itself is not compared.
     Returns (triple, candidates_examined) or None.
     """
     heads = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)]  # x1^2, x1*x2, x1*x3
@@ -75,11 +78,12 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
         for tail_choice in product(tails, repeat=3):
             examined += 1
             gens = [Form(NUM_VARS, 2, {head: 1, tail: c}) for head, tail, c in zip(heads, tail_choice, coeff_choice)]
-            ok = True
-            for d in range(3, DMAX + 1):
-                if ideal_graded_piece(gens, d, REVLEX, NUM_VARS).exps != target[d]:
-                    ok = False
-                    break
+            echelon = RowEchelon(None)
+            ideal_graded_piece(gens, 2, REVLEX, NUM_VARS, echelon=echelon)
+            ok = all(
+                ideal_graded_piece(gens, d, REVLEX, NUM_VARS, echelon=echelon).exps == target[d]
+                for d in range(3, DMAX + 1)
+            )
             if ok and is_three_quadric_ci(gens):
                 return gens, examined
     return None
@@ -130,7 +134,8 @@ def ci_quadrics_demo(seed: int = 0, trials: int = 3, bound: int = 100) -> DemoRe
     quadrics = [random_form(rng, NUM_VARS, 2, bound) for _ in range(3)]
     steps: list[DemoStep] = []
 
-    dims = {d: len(ideal_graded_piece(quadrics, d, REVLEX, NUM_VARS)) for d in (2, 3, 4)}
+    echelon = RowEchelon(None)
+    dims = {d: len(ideal_graded_piece(quadrics, d, REVLEX, NUM_VARS, echelon=echelon)) for d in (2, 3, 4)}
     steps.append(
         DemoStep(
             "complete-intersection Hilbert pattern",

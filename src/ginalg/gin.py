@@ -16,8 +16,10 @@ of gV in descending order, each from the transposed change through
 A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g): every transposed
 monomial image is a list mod p over the positions of its degree, built
 from one a degree lower through cached position tables.  The scan stops at
-the dim V-th independent column.  A trial of an ideal eliminates, in each
-degree d, the shifts of the moved generators (`ideal_graded_piece`).
+the dim V-th independent column.  A trial of an ideal grows each degree's
+piece from the one below (`ideal_graded_piece`): x_j times the echelon rows
+of I_{d-1} and the moved generators of degree d span I_d, and the Pommaret
+multiplicative products among them are stored with no elimination.
 
 Columns independent mod p are independent over Q, so a trial is never
 larger than the exact in(gV), and equals it unless p divides one fixed
@@ -35,8 +37,8 @@ initial ideals and witness search), the `in` subcommand and every Subspace.
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import comb
-from operator import add
 from typing import Collection
 
 from .forms import (
@@ -49,10 +51,9 @@ from .forms import (
     integer_row,
     monomial_key,
     monomial_positions,
-    monomials_of_degree,
 )
 from .ideals import MonomialIdeal, _is_borel_closed, minimalize
-from .subspaces import MonomialSet, RowEchelon, initial_after_change
+from .subspaces import MonomialSet, RowEchelon, _position_tables, initial_after_change
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 100
@@ -64,9 +65,9 @@ TRUNCATION_NOTE = "generators above dmax are not detected"
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_TEST_LIMIT = 318665857834031151167461
 
-# largest graded piece for initial_ideal_truncated; time climbs steeply with it (gin-ideal of
-# 3 generic quadrics, 3 trials, mod p, 2 vCPU: s=5 d=5, 126 monomials, 0.1 s; s=3 d=18,
-# 190 monomials, 1.8 s; s=3 d=22, 276 monomials, 4.8 s)
+# largest graded piece for initial_ideal_truncated (gin_ideal_truncated of 3 generic quadrics,
+# 3 trials, mod p, in process on a 2-vCPU VM: s=5 d=5, 126 monomials, 0.04 s; s=5 d=6, 210
+# monomials, 0.08 s; s=3 d=22, 276 monomials, 0.04 s, since every piece from d=4 on is full)
 MAX_PIECE_MONOMIALS = 150
 
 
@@ -177,33 +178,85 @@ def gin_subspace(
     return _report(outcomes, order, seeds)
 
 
+@cache
+def _last_variables(order: str, num_vars: int, degree: int) -> list[int]:
+    """For each monomial of the degree, in monomial_positions order, the index of the last
+    variable dividing it (0 for 1)."""
+    return [max((j for j, e in enumerate(m) if e), default=0) for m in monomial_positions(order, num_vars, degree)]
+
+
+def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_vars: int) -> None:
+    """Replace echelon's rows of I_{degree-1} by rows of I_degree, both keyed by position.
+
+    I_degree is spanned by x_j times the rows below and the generators of that degree.  A
+    product whose j is at least the last variable of its row's pivot m is multiplicative:
+    its pivot is x_j * m, and no two such products share one, so they are stored with no
+    elimination; only the other products and the new generators are top-reduced.  Once a
+    piece is all of S_d, so is every later one, and its rows are the unit rows.
+    """
+    below = echelon.rows
+    positions = monomial_positions(order, num_vars, degree)
+    if below and len(below) == len(monomial_positions(order, num_vars, degree - 1)):
+        echelon.rows = {i: {i: 1} for i in range(len(positions))}
+        return
+    rows: dict = {}
+    later: list[dict] = []
+    if below:
+        times = _position_tables(order, num_vars, degree)[1]
+        last = _last_variables(order, num_vars, degree - 1)
+        for pivot, row in below.items():
+            for j in range(num_vars):
+                at = times[j]
+                product = {at[i]: c for i, c in row.items()}
+                if j >= last[pivot]:
+                    rows[at[pivot]] = product
+                else:
+                    later.append(product)
+    echelon.rows = rows
+    for g in gens:
+        if g.degree == degree:
+            later.append({positions[e]: c for e, c in integer_row(g)[0].items()})
+    for row in later:
+        echelon.add(row)
+
+
 def ideal_graded_piece(
-    gens: list[Form], degree: int, order: str, num_vars: int, prime: int | None = None
+    gens: list[Form],
+    degree: int,
+    order: str,
+    num_vars: int,
+    prime: int | None = None,
+    echelon: RowEchelon | None = None,
 ) -> MonomialSet:
-    """in(I_d) for the ideal I generated by homogeneous gens: the pivots of the rows
-    x^a * g, each the integer row of g shifted by a, eliminated exactly, or modulo
+    """in(I_d) for the ideal I generated by homogeneous gens, eliminated exactly, or modulo
     prime when one is given.
 
-    Each row is keyed by its monomials' positions in descending order, so its pivot is
-    its smallest key, and the pivots are mapped back to exponents once.
+    The pieces are grown: I_d from the rows of I_{d-1} (see `_grow`), each row keyed by
+    its monomials' positions in descending order, so its pivot is its smallest key.
+    `echelon`, a RowEchelon(None, prime=prime), holds the rows of I_{d-1} (none below the
+    lowest generator degree) and is grown in place to I_d, so reads of consecutive degrees
+    share it; without it the pieces are grown from the lowest generator degree.
     """
-    positions = monomial_positions(order, num_vars, degree)
-    echelon = RowEchelon(None, prime=prime)
     for g in gens:
         if g.num_vars != num_vars:
             raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
-        if g.degree <= degree:
-            row = integer_row(g)[0]
-            for shift in monomials_of_degree(num_vars, degree - g.degree):
-                echelon.add({positions[tuple(map(add, e, shift))]: c for e, c in row.items()})
+    if echelon is None:
+        echelon = RowEchelon(None, prime=prime)
+        for lower in range(min((g.degree for g in gens), default=degree), degree):
+            _grow(echelon, gens, lower, order, num_vars)
+    elif echelon.prime != prime:
+        raise ValueError("the echelon and the piece are over different primes")
+    _grow(echelon, gens, degree, order, num_vars)
+    positions = monomial_positions(order, num_vars, degree)
     return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
 
 
 def initial_ideal_truncated(
     gens: list[Form], dmax: int, order: str = REVLEX, prime: int | None = None
 ) -> dict[int, MonomialSet]:
-    """in(I_d) for each degree up to dmax, computed degreewise; deterministic.  Exact
-    without a prime; modulo one, each piece is at most the exact one."""
+    """in(I_d) for each degree up to dmax, each piece grown from the one below in one
+    shared echelon; deterministic.  Exact without a prime; modulo one, each piece is at
+    most the exact one."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -216,7 +269,8 @@ def initial_ideal_truncated(
         raise ValueError(
             f"graded piece too large: s={num_vars}, d={dmax} has {size} monomials (limit {MAX_PIECE_MONOMIALS})"
         )
-    return {d: ideal_graded_piece(gens, d, order, num_vars, prime) for d in range(dmin, dmax + 1)}
+    echelon = RowEchelon(None, prime=prime)
+    return {d: ideal_graded_piece(gens, d, order, num_vars, prime, echelon) for d in range(dmin, dmax + 1)}
 
 
 class GinIdealReport(Record):

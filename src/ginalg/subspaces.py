@@ -311,8 +311,10 @@ def initial_after_change(
     pivots.  Any rows that span V give the same column pivots.  The pivots of an echelon
     form are its greedy column basis: in descending order, a column is a pivot exactly
     when it is independent of the columns before it.  So the scan stops once the pivots
-    number the nonzero rows, dim V unless they are dependent.  T_m is a list over the
-    positions of degree d, built on first use from T_{m/x_j}, x_j the first variable of m.
+    number the nonzero rows, which is dim V for independent rows.  At the first dependent
+    column it takes the rank of the rows (modulo the prime, if any), which bounds the
+    number of pivots, and stops at that count instead.  T_m is a list over the positions
+    of degree d, built on first use from T_{m/x_j}, x_j the first variable of m.
     """
     if num_vars != change.num_vars:
         raise ValueError("rows and coordinate change over different variable counts")
@@ -342,13 +344,17 @@ def initial_after_change(
     # a column is keyed by row index: the order serves only to test independence
     columns = RowEchelon(None, prime=prime)
     pivots: list[Exponent] = []
+    rank = None
     for m, i in positions.items():
         image = image_of(degree, i)
         dots = (sum(map(mul, entries, map(image.__getitem__, places))) for places, entries in scaled)
         if columns.add({r: entry for r, entry in enumerate(dots) if entry}):
             pivots.append(m)
-            if len(pivots) == len(rows):
-                break
+        elif rank is None:
+            # a dependent column: the rows may be dependent too, and their rank bounds the pivots
+            rank = len(RowEchelon(None, (dict(zip(*row)) for row in scaled), prime).rows)
+        if len(pivots) == (len(rows) if rank is None else rank):
+            break
     return MonomialSet(num_vars, degree, frozenset(pivots))
 
 

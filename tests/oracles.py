@@ -6,7 +6,11 @@ enumeration with its own echelon routine plus trial division
 (`exact_quotient`, over `forms.divide_rows`), the Hilbert oracles count by
 inclusion-exclusion / power-series expansion, and the
 graded-piece oracles substitute and eliminate in `Form` arithmetic over
-`Fraction`, independently of the integer-row kernel in the package.
+`Fraction`, independently of the integer-row kernel in the package.  The
+one exception is `scratch_ideal_graded_piece`, the from-scratch ideal piece
+exactly or modulo a prime: it shares `RowEchelon` with the package, but
+eliminates every shift of the generators where the package grows each
+piece from the one below.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add
 
 from ginalg import (
     REVLEX,
     CoordinateChange,
     Form,
+    MonomialSet,
     Subspace,
     format_form,
     initial_monomial,
@@ -28,7 +34,8 @@ from ginalg import (
     normalize_form,
     random_form,
 )
-from ginalg.forms import divide_rows, form_from_row, integer_row
+from ginalg.forms import divide_rows, form_from_row, integer_row, monomial_positions
+from ginalg.subspaces import RowEchelon
 
 
 def spanning_args(space: Subspace) -> tuple:
@@ -249,6 +256,19 @@ def oracle_ideal_graded_piece(gens, degree: int, order: str, num_vars: int) -> S
         for m in monomials_of_degree(num_vars, degree - g.degree)
     ]
     return oracle_echelonize(spanning, order, num_vars, degree)
+
+
+def scratch_ideal_graded_piece(gens, degree: int, order: str, num_vars: int, prime: int | None = None) -> MonomialSet:
+    """in(I_d) from scratch: the pivots of every shift x^a * g of the generators, each row
+    keyed by position in descending order, eliminated exactly or modulo prime."""
+    positions = monomial_positions(order, num_vars, degree)
+    echelon = RowEchelon(None, prime=prime)
+    for g in gens:
+        if g.degree <= degree:
+            row = integer_row(g)[0]
+            for shift in monomials_of_degree(num_vars, degree - g.degree):
+                echelon.add({positions[tuple(map(add, e, shift))]: c for e, c in row.items()})
+    return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
 
 
 def oracle_random_subspace(

@@ -312,6 +312,33 @@ def test_gin_of_spanning_rows_equals_gin_of_the_echelon_basis(capsys, tmp_path, 
     assert invoke(capsys, ["gin", str(zero)]) == expected
 
 
+def test_a_repeated_line_builds_one_more_column_per_trial(capsys, monkeypatch, tmp_path):
+    """Dependent rows stop the column scan at their rank, taken at the first dependent
+    column: a file with a repeated line scans what the file without it scans, plus, per
+    trial, the one dependent column that shows the rows dependent, not the whole piece."""
+    from ginalg import subspaces
+
+    built = []
+    tables = subspaces._position_tables
+
+    def counting(order, num_vars, degree):
+        built.append(degree)  # one call per transposed image built
+        return tables(order, num_vars, degree)
+
+    monkeypatch.setattr(subspaces, "_position_tables", counting)
+    rng = random.Random(8)
+    lines = [format_form(random_form(rng, 4, 3, 10)) for _ in range(8)]
+    reports = []
+    for body in (lines, lines + [lines[2]]):
+        path = tmp_path / "V.txt"
+        path.write_text("s=4 order=revlex\n" + "\n".join(body) + "\n")
+        built.clear()
+        reports.append((invoke(capsys, ["gin", "--seed", "5", str(path)]), built.count(3)))
+    (plain, plain_columns), (repeated, repeated_columns) = reports
+    assert plain[0] == 0 and repeated == plain
+    assert 3 * 8 <= plain_columns < repeated_columns <= plain_columns + 3 < 3 * 20
+
+
 @pytest.mark.parametrize(
     "flags, body, message, commands",
     [
