@@ -42,7 +42,7 @@ from .ideals import (
     is_borel_fixed,
     parse_ideal,
 )
-from .subspaces import Subspace, echelonize, initial_subspace, restrict_subspace
+from .subspaces import MonomialSet, RowEchelon, Subspace, echelonize, restrict_subspace
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -189,13 +189,13 @@ def _subspace_text(space: Subspace) -> str:
 
 
 def cmd_in(args) -> int:
-    space = load_subspace(args.file, args)
-    monomials = initial_subspace(space)
+    num_vars, degree, order, forms = read_subspace_file(args.file, args)
+    pivots = RowEchelon(order, (integer_row(f)[0] for f in forms)).rows
     payload = {
-        "monomials": monomials.strings(space.order),
-        "dim": space.dim,
-        "degree": space.degree,
-        "order": space.order,
+        "monomials": MonomialSet(num_vars, degree, frozenset(pivots)).strings(order),
+        "dim": len(pivots),
+        "degree": degree,
+        "order": order,
     }
     _emit(args, payload, " ".join(payload["monomials"]) if payload["monomials"] else "0")
     return EXIT_OK

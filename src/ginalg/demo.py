@@ -30,15 +30,15 @@ J1 = parse_ideal("x1^2, x1*x2, x2^2, x1*x3^2, x2*x3^2, x3^4", NUM_VARS)
 J2 = parse_ideal("x1^2, x1*x2, x1*x3, x2^3, x2^2*x3, x2*x3^2, x3^4", NUM_VARS)
 
 
+def _ideal_dims(gens: list[Form]) -> dict[int, int]:
+    """{d: dim I_d} over the degrees of CI_IDEAL_DIMS, each piece grown from the one below."""
+    echelon = RowEchelon(None)
+    return {d: len(ideal_graded_piece(gens, d, REVLEX, NUM_VARS, echelon=echelon)) for d in CI_IDEAL_DIMS}
+
+
 def is_three_quadric_ci(gens: list[Form]) -> bool:
     """Hilbert-pattern proxy for the regular-sequence property at desk scale."""
-    if len(gens) != 3 or any(g.degree != 2 for g in gens):
-        return False
-    echelon = RowEchelon(None)
-    return all(
-        len(ideal_graded_piece(gens, d, REVLEX, NUM_VARS, echelon=echelon)) == want
-        for d, want in CI_IDEAL_DIMS.items()
-    )
+    return len(gens) == 3 and all(g.degree == 2 for g in gens) and _ideal_dims(gens) == CI_IDEAL_DIMS
 
 
 def truncated_initial_ideal(gens: list[Form], order: str) -> MonomialIdeal:
@@ -134,8 +134,7 @@ def ci_quadrics_demo(seed: int = 0, trials: int = 3, bound: int = 100) -> DemoRe
     quadrics = [random_form(rng, NUM_VARS, 2, bound) for _ in range(3)]
     steps: list[DemoStep] = []
 
-    echelon = RowEchelon(None)
-    dims = {d: len(ideal_graded_piece(quadrics, d, REVLEX, NUM_VARS, echelon=echelon)) for d in (2, 3, 4)}
+    dims = _ideal_dims(quadrics)
     steps.append(
         DemoStep(
             "complete-intersection Hilbert pattern",

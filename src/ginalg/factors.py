@@ -211,7 +211,7 @@ def verify_main_theorem(
     """
     if space.order != REVLEX:
         raise ValueError("the main theorem is stated for the revlex order")
-    report = gin_subspace(space.spanning_rows(), space.num_vars, space.degree, space.order, trials, seed, bound)
+    report = gin_subspace(space.rows.values(), space.num_vars, space.degree, space.order, trials, seed, bound)
     if not report.stable:
         return TheoremReport(STATUS_INCONCLUSIVE, report, None, None)
     shape = detect_gin_shape(report.result)

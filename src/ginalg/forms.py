@@ -45,8 +45,9 @@ class InvariantError(RuntimeError):
 
 class Record:
     """An immutable record.  A subclass's `__slots__` names its fields in positional order, and
-    its `_defaults` maps trailing fields to factories of their default values.  Records are
-    equal when of the same class with equal fields, and hash as the tuple of their fields.
+    its `_defaults` maps trailing fields to factories of their default values; one that checks
+    or derives its fields does so in its own `__init__`, then passes them to this one.  Records
+    are equal when of the same class with equal fields, and hash as the tuple of their fields.
     Nothing is generated per class and nothing is imported for it, because every CLI call
     is a new process that pays its import cost (see the README's Performance section)."""
 
@@ -136,7 +137,7 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-class Form:
+class Form(Record):
     """A homogeneous polynomial with exact rational coefficients.
 
     The zero form keeps a declared degree so graded bookkeeping stays
@@ -161,12 +162,7 @@ class Form:
             if sum(exps) != degree:
                 raise ValueError(f"inhomogeneous form: degrees {degree} and {sum(exps)}")
             clean[exps] = coeff
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
+        super().__init__(num_vars, degree, clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -252,14 +248,7 @@ class Form:
             raise ZeroDivisionError("division of a form by zero")
         return self * (Fraction(1) / scalar)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Form)
-            and self.num_vars == other.num_vars
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
+    # the terms dict cannot be hashed as Record's field tuple
     def __hash__(self) -> int:
         return hash((self.num_vars, self.degree, frozenset(self.terms.items())))
 
@@ -274,7 +263,7 @@ def initial_monomial(f: Form, order: str) -> Exponent:
     return max(f.terms, key=lambda e: monomial_key(order, e))
 
 
-class CoordinateChange:
+class CoordinateChange(Record):
     """An invertible linear substitution x_i -> sum_j M[i][j] * x_j.  `images` is it scaled
     to integers by the common denominator D of the entries, so a degree-d image is D^d times
     the true one."""
@@ -296,23 +285,11 @@ class CoordinateChange:
         # invertible modulo a prime means invertible; only a matrix singular modulo it is eliminated exactly
         if len(RowEchelon(None, rows, 2**61 - 1).rows) < s and len(RowEchelon(None, rows).rows) < s:
             raise ValueError("singular coordinate change matrix")
-        object.__setattr__(self, "num_vars", s)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordinateChange is immutable")
+        super().__init__(s, matrix, images, denominator)
 
     @classmethod
     def identity(cls, num_vars: int) -> CoordinateChange:
         return cls([[1 if i == j else 0 for j in range(num_vars)] for i in range(num_vars)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoordinateChange) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
 
     def __repr__(self) -> str:
         return f"CoordinateChange({[[str(v) for v in row] for row in self.matrix]})"

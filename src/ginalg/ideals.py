@@ -36,17 +36,11 @@ class MonomialIdeal(Record):
 
     __slots__ = ("num_vars", "gens")
 
-    def degrees(self) -> list[int]:
-        return [sum(e) for e in self.gens]
-
     def strings(self) -> list[str]:
         return [format_monomial(e) for e in self.gens]
 
     def __str__(self) -> str:
         return ", ".join(self.strings()) if self.gens else "0"
-
-    def __len__(self) -> int:
-        return len(self.gens)
 
 
 def minimalize(gens, num_vars: int) -> MonomialIdeal:

@@ -1,21 +1,21 @@
 """Canonical echelon bases for subspaces of one graded piece.
 
-A Subspace keeps its pivots, which are its initial subspace, and the rows
-of an echelon form: one primitive integer row per pivot, with a positive
-pivot entry.  Its canonical rows, those of the reduced echelon form, have a
-zero entry at every other pivot; divided by their pivot entries they give
-the unique reduced echelon basis, so subspace equality is a syntactic check.
+A Subspace is its canonical rows, those of the reduced echelon form: one
+primitive integer row per pivot, with a positive pivot entry and a zero entry
+at every other pivot.  The pivots are its initial subspace.  Divided by their
+pivot entries the rows give the unique reduced echelon basis, so subspace
+equality is a syntactic check.
 
 Elimination (`RowEchelon`) is forward only.  Over the integers it is
 fraction-free, with the content divided out after every row operation; the
-back-substitution to canonical rows runs once, when a Subspace's `rows` are
-first read, and Fractions appear only when its `basis` is read.  Given a
-prime, the same elimination runs in Z/p with monic rows.  Only pivots are
-read from it, never a Subspace: every Subspace, its rows and its basis are
-exact.  Columns independent mod p are independent over Q, so the pivots mod
-p are never larger than the exact ones (the count of pivots among the first
-k monomials is a rank, and a rank mod p is at most the rank over Q); they
-are equal unless p divides one fixed nonzero k x k minor, k the rank.
+back-substitution to canonical rows runs once, when a Subspace is built, and
+Fractions appear only when its `basis` is read.  Given a prime, the same
+elimination runs in Z/p with monic rows.  Only pivots are read from it, never
+a Subspace: every Subspace and its basis are exact.  Columns independent mod p
+are independent over Q, so the pivots mod p are never larger than the exact
+ones (the count of pivots among the first k monomials is a rank, and a rank
+mod p is at most the rank over Q); they are equal unless p divides one fixed
+nonzero k x k minor, k the rank.
 """
 
 from __future__ import annotations
@@ -49,62 +49,32 @@ from .forms import (
 )
 
 
-class Subspace:
-    """A subspace of one graded piece, from echelon rows (canonical or not) that map each pivot
-    to its primitive integer row.  The pivots are kept in descending order; `rows` (canonical)
-    and `basis` (monic at each pivot) are built on first read and kept."""
+class Subspace(Record):
+    """A subspace of one graded piece as its canonical rows, keyed by pivot in descending
+    order.  Built from echelon rows, canonical or not and in any order, that map each pivot
+    to its primitive integer row.  `basis`, the rows made monic at their pivots, is built on
+    each read."""
 
-    __slots__ = ("num_vars", "degree", "order", "_pivots", "_echelon", "_rows", "_basis")
+    __slots__ = ("num_vars", "degree", "order", "rows")
 
     def __init__(self, num_vars: int, degree: int, order: str, rows: dict[Exponent, Row]):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_pivots", tuple(sort_monomials(order, rows)))
-        object.__setattr__(self, "_echelon", {p: rows[p] for p in self._pivots})
-        object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_basis", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @property
-    def rows(self) -> dict[Exponent, Row]:
-        if self._rows is None:
-            object.__setattr__(self, "_rows", _back_substitute(self._echelon))
-            object.__setattr__(self, "_echelon", None)
-        return self._rows
-
-    def spanning_rows(self) -> Iterable[Row]:
-        """Integer rows that span the subspace: the canonical rows once built, else the
-        echelon rows, so a read that needs any spanning set runs no back-substitution."""
-        return (self._echelon if self._rows is None else self._rows).values()
+        canonical = _back_substitute({p: rows[p] for p in sort_monomials(order, rows)})
+        super().__init__(num_vars, degree, order, canonical)
 
     @property
     def basis(self) -> tuple[Form, ...]:
-        if self._basis is None:
-            basis = tuple(form_from_row(self.num_vars, self.degree, row, row[p]) for p, row in self.rows.items())
-            object.__setattr__(self, "_basis", basis)
-        return self._basis
+        return tuple(form_from_row(self.num_vars, self.degree, row, row[p]) for p, row in self.rows.items())
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self.rows)
 
     def leading_monomials(self) -> tuple[Exponent, ...]:
-        return self._pivots
+        return tuple(self.rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.num_vars == other.num_vars
-            and self.degree == other.degree
-            and self.order == other.order
-            and self.rows == other.rows
-        )
-
+    # the rows dict cannot be hashed as Record's field tuple; equal subspaces have equal pivots
     def __hash__(self) -> int:
-        return hash((self.num_vars, self.degree, self.order, self._pivots))
+        return hash((self.num_vars, self.degree, self.order, tuple(self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(s={self.num_vars}, d={self.degree}, order={self.order}, dim={self.dim})"

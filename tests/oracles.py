@@ -41,7 +41,7 @@ from ginalg.subspaces import RowEchelon
 def spanning_args(space: Subspace) -> tuple:
     """A Subspace as the leading arguments of gin_subspace and initial_after_change:
     rows that span it, then its variable count, degree and order."""
-    return space.spanning_rows(), space.num_vars, space.degree, space.order
+    return space.rows.values(), space.num_vars, space.degree, space.order
 
 
 # -- monomial order definitions, applied literally ---------------------------

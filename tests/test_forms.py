@@ -18,6 +18,7 @@ from ginalg import (
     MonomialSet,
     ParseError,
     ProbeReport,
+    Subspace,
     TheoremReport,
     apply_change,
     format_form,
@@ -462,11 +463,13 @@ def test_normalize_form():
 
 
 def _record_fields():
-    """Sample field values for each report type, built afresh on every call."""
+    """Sample field values for each record type, built afresh on every call."""
     monomials = MonomialSet(3, 2, frozenset({(2, 0, 0), (1, 1, 0)}))
     gin = GinReport(monomials, 3, 3, (5, 6, 7), True)
     certificate = FactorCertificate(F("x1", 3), 1, random_subspace(3, 1, 2, seed=0), (3, 3, 1, 1), True)
     return {
+        Form: (3, 2, {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-3, 2)}),
+        Subspace: (3, 1, REVLEX, {(0, 1, 0): {(0, 1, 0): 1, (0, 0, 1): 2}, (1, 0, 0): {(1, 0, 0): 1, (0, 1, 0): 3}}),
         MonomialSet: (3, 2, frozenset({(2, 0, 0)})),
         MonomialIdeal: (3, ((2, 0, 0), (1, 1, 0))),
         GinReport: (monomials, 3, 2, (5, 6, 7), False),
@@ -509,6 +512,18 @@ def test_record_semantics(cls):
         cls(*values, None)
     with pytest.raises(TypeError):
         cls(*values[:-1], **{cls.__slots__[0]: values[0]})
+
+
+def test_coordinate_change_is_an_immutable_value():
+    a, b = CoordinateChange([[1, 2], [0, Fraction(1, 3)]]), CoordinateChange([[1, 2], [0, Fraction(1, 3)]])
+    assert isinstance(a, Record) and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != CoordinateChange.identity(2) and a != a.matrix
+    for name in CoordinateChange.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
 
 
 def test_record_defaults():

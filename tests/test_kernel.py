@@ -271,7 +271,7 @@ def test_scan_of_spanning_rows_equals_scan_of_echelon_rows():
             Form(s, d, {e: rng.randint(-3, 3) for e in monomials}) for _ in range(rng.randint(0, len(monomials)))
         ]
         space = echelonize(forms, order, num_vars=s, degree=d)
-        echelon = list(space.spanning_rows())
+        echelon = list(space.rows.values())
         rows = echelon + [{}] * rng.randint(1, 2)
         for _ in range(rng.randint(0, 4) if echelon else 0):
             combination: dict = {}
@@ -335,7 +335,7 @@ def test_ideal_graded_piece_matches_sympy_groebner(s):
 
 @pytest.mark.parametrize("order,s", CASES)
 def test_basis_is_the_monic_reference_basis(order, s):
-    """`basis` is built from the rows only when read; it must be the reference's
+    """`basis` is built from the rows on each read; it must be the reference's
     monic forms, in descending pivot order."""
     rng = random.Random(6000 * s + len(order))
     d = 3 if s < 5 else 2
@@ -359,43 +359,35 @@ def test_basis_is_the_monic_reference_basis(order, s):
         # the pivot entry in Form arithmetic recovers those forms
         monic = [Form(reference.num_vars, reference.degree, row) / row[p] for p, row in reference.rows.items()]
         assert list(got.basis) == monic
-        assert got.basis is got.basis
         assert [f.terms[p] for f, p in zip(got.basis, got.leading_monomials())] == [1] * got.dim
 
 
-@pytest.mark.parametrize("order", ORDER_NAMES)
-def test_pivot_reads_skip_back_substitution(order, monkeypatch):
-    rng = random.Random(7000 + len(order))
-    s, d = 4, 3
-    space = echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d)
-    change = _change(rng, s, rational=True)
-    calls = []
-    back_substitute = subspaces._back_substitute
-    monkeypatch.setattr(subspaces, "_back_substitute", lambda echelon: calls.append(1) or back_substitute(echelon))
-    results = [
-        echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d),
-        transform_subspace(space, change),
-        restrict_subspace(space, _linear(rng, s)),
-    ]
-    for space_ in results:
-        calls.clear()
-        pivots = space_.leading_monomials()
-        assert space_.dim == len(pivots)
-        assert initial_subspace(space_).exps == frozenset(pivots)
-        pivot_hash = hash(space_)
-        assert calls == []
-        rows = space_.rows
-        assert space_.rows is rows and tuple(rows) == pivots
-        space_.basis
-        assert calls == [1]
-        assert hash(space_) == pivot_hash and space_.leading_monomials() == pivots
-    # a gin trial scans the columns of any spanning rows, so the echelon rows serve
-    fresh = echelonize(_independent_and_dependent(rng, s, d, 6), order, num_vars=s, degree=d)
-    calls.clear()
-    report = gin_subspace(*spanning_args(fresh), trials=2, seed=1)
-    assert calls == [] and len(report.result) == fresh.dim
-    fresh.rows
-    assert gin_subspace(*spanning_args(fresh), trials=2, seed=1) == report
+@pytest.mark.parametrize(
+    "order,pivots",
+    [
+        ("revlex", ["x1^3", "x1*x2*x3", "x1*x3^2", "x3^3"]),
+        ("lex", ["x1^3", "x1^2*x4", "x1*x2*x3", "x1*x3^2"]),
+        ("mixed", ["x1^3", "x1*x2*x3", "x1*x3^2", "x3^3"]),
+    ],
+    ids=ORDER_NAMES,
+)
+def test_in_reads_pivots_without_back_substitution(capsys, tmp_path, monkeypatch, order, pivots):
+    """`in` reads the pivots of forward elimination alone; a zero line and a dependent
+    line in the file change nothing."""
+    path = tmp_path / "V.txt"
+    path.write_text(
+        f"s=4 d=3 order={order}\nx1*x2*x3 - x4^3 + 2*x2^2*x4\nx3^3 - x1^2*x4\n0\nx2*x3*x4 + x1^3\n"
+        "2*x1*x2*x3 - 2*x4^3 + 4*x2^2*x4 + x3^3 - x1^2*x4\nx4^3 - x1*x3^2\n"
+    )
+
+    def refuse(echelon):
+        raise AssertionError("back-substitution run")
+
+    monkeypatch.setattr(subspaces, "_back_substitute", refuse)
+    assert cli.run(["in", "--text", str(path)]) == 0
+    assert capsys.readouterr().out == " ".join(pivots) + "\n"
+    assert cli.run(["in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"monomials": pivots, "dim": 4, "degree": 3, "order": order}
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)

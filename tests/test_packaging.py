@@ -46,3 +46,33 @@ def test_cli_import_loads_no_code_generation_modules():
     # every CLI call is a new process; dataclasses would load these and exec code per class
     generators = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert sorted(generators & _modules_loaded_by_importing_cli()) == []
+
+
+def test_only_record_sets_attributes_past_its_guard():
+    """Immutability lives in `forms.Record`: no other class defines `__setattr__` or
+    `__delattr__`, and nothing outside Record calls `object.__setattr__`."""
+    found, records = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside_record = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Record":
+                records += 1
+                inside_record.update(id(child) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in inside_record:
+                continue
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__")
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{path.name}:{node.lineno} object.__setattr__")
+    assert records == 1 and found == []
