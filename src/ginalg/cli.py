@@ -5,6 +5,12 @@ computational commands), plain text the human one (default for ci-demo).
 Exit codes: 0 success/verified, 1 refuted/assertion failure, 2
 inconclusive (unstable gin), 3 usage/parse error.  Output is byte-identical
 for identical argv and input files.
+
+Every call is a new process, so each pays only for its own subcommand: the
+parser holds that subcommand's subparser alone (all of them only for help
+and for an unknown command), and the handlers import `factors`, `ideals`
+and `demo` in their own bodies.  A `gin` call loads `cli`, `forms`,
+`subspaces` and `gin`, and nothing else of the package.
 """
 
 from __future__ import annotations
@@ -14,17 +20,6 @@ import json
 import sys
 from math import comb
 
-from .demo import ci_quadrics_demo
-from .factors import (
-    STATUS_CERTIFICATE,
-    STATUS_INCONCLUSIVE,
-    STATUS_NOT_APPLICABLE,
-    common_factor,
-    gcd_forms,
-    hyperplane_factor_probe,
-    make_instance,
-    verify_main_theorem,
-)
 from .forms import (
     REVLEX,
     Form,
@@ -35,13 +30,6 @@ from .forms import (
     parse_form,
 )
 from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, gin_ideal_truncated, gin_subspace
-from .ideals import (
-    colon_by_last_variable,
-    enumerate_gin_candidates,
-    hilbert_function,
-    is_borel_fixed,
-    parse_ideal,
-)
 from .subspaces import MonomialSet, RowEchelon, Subspace, echelonize, restrict_subspace
 
 EXIT_OK = 0
@@ -170,19 +158,14 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _subspace_payload(space: Subspace) -> dict:
-    return {
-        "s": space.num_vars,
-        "d": space.degree,
-        "order": space.order,
-        "basis": [format_form(f) for f in space.basis],
-    }
+def _subspace_payload(space: Subspace, basis: list[str]) -> dict:
+    """The JSON of a subspace, given its basis already formatted."""
+    return {"s": space.num_vars, "d": space.degree, "order": space.order, "basis": basis}
 
 
-def _subspace_text(space: Subspace) -> str:
-    lines = [f"s={space.num_vars} d={space.degree} order={space.order}"]
-    lines.extend(format_form(f) for f in space.basis)
-    return "\n".join(lines)
+def _subspace_text(space: Subspace, basis: list[str]) -> str:
+    """A subspace file: its header line, then the formatted basis."""
+    return "\n".join([f"s={space.num_vars} d={space.degree} order={space.order}", *basis])
 
 
 # -- handlers ----------------------------------------------------------------
@@ -223,26 +206,35 @@ def cmd_restrict(args) -> int:
     space = load_subspace(args.file, args)
     hyperplane = parse_form(args.hyperplane, space.num_vars)
     restricted = restrict_subspace(space, hyperplane)
-    _emit(args, _subspace_payload(restricted), _subspace_text(restricted))
+    basis = [format_form(f) for f in restricted.basis]
+    _emit(args, _subspace_payload(restricted, basis), _subspace_text(restricted, basis))
     return EXIT_OK
 
 
 def cmd_gcd(args) -> int:
+    from .factors import gcd_forms
+
     f = parse_form(args.forms[0], args.vars)
     g = parse_form(args.forms[1], args.vars)
     result = gcd_forms(f, g)
-    _emit(args, {"gcd": format_form(result), "degree": result.degree}, format_form(result))
+    text = format_form(result)
+    _emit(args, {"gcd": text, "degree": result.degree}, text)
     return EXIT_OK
 
 
 def cmd_factor(args) -> int:
+    from .factors import common_factor
+
     space = load_subspace(args.file, args)
     factor, degree = common_factor(space)
-    _emit(args, {"p": format_form(factor), "m": degree}, f"p = {format_form(factor)}; m = {degree}")
+    p = format_form(factor)
+    _emit(args, {"p": p, "m": degree}, f"p = {p}; m = {degree}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .factors import STATUS_CERTIFICATE, STATUS_INCONCLUSIVE, STATUS_NOT_APPLICABLE, verify_main_theorem
+
     space = load_subspace(args.file, args)
     report = verify_main_theorem(space, trials=args.trials, seed=args.seed, bound=args.bound)
     _emit(args, report.to_dict(), f"status: {report.status}")
@@ -254,33 +246,34 @@ def cmd_verify(args) -> int:
 
 
 def cmd_make_instance(args) -> int:
+    from .factors import make_instance
+
     space, factor, cofactor = make_instance(
         args.vars, args.r, args.n, args.m, seed=args.seed, bound=args.bound
     )
+    basis = [format_form(f) for f in space.basis]
+    p = format_form(factor)
+    subspace_text = _subspace_text(space, basis)
     payload = {
         "s": args.vars,
         "r": args.r,
         "n": args.n,
         "m": args.m,
         "seed": args.seed,
-        "V": [format_form(f) for f in space.basis],
-        "p": format_form(factor),
+        "V": basis,
+        "p": p,
         "W_n": [format_form(f) for f in cofactor.basis],
     }
-    text = "\n".join(
-        [
-            f"# planted p = {format_form(factor)}",
-            _subspace_text(space),
-        ]
-    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_subspace_text(space) + "\n")
-    _emit(args, payload, text)
+            handle.write(subspace_text + "\n")
+    _emit(args, payload, f"# planted p = {p}\n{subspace_text}")
     return EXIT_OK
 
 
 def cmd_probe(args) -> int:
+    from .factors import hyperplane_factor_probe
+
     space = load_subspace(args.file, args)
     report = hyperplane_factor_probe(
         space, expected_m=args.expected_m, trials=args.trials, seed=args.seed, bound=args.bound
@@ -294,6 +287,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .ideals import hilbert_function, parse_ideal
+
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
     count = comb(args.dmax + args.vars, args.vars)
@@ -308,6 +303,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_borel(args) -> int:
+    from .ideals import is_borel_fixed, parse_ideal
+
     ideal = parse_ideal(args.ideal, args.vars)
     fixed = is_borel_fixed(ideal)
     _emit(args, {"borel_fixed": fixed}, "borel-fixed" if fixed else "not borel-fixed")
@@ -315,6 +312,8 @@ def cmd_borel(args) -> int:
 
 
 def cmd_colon(args) -> int:
+    from .ideals import colon_by_last_variable, parse_ideal
+
     ideal = parse_ideal(args.ideal, args.vars)
     quotient = colon_by_last_variable(ideal)
     saturated = quotient == ideal
@@ -327,6 +326,8 @@ def cmd_colon(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .ideals import enumerate_gin_candidates
+
     try:
         quotient_hf = [int(v) for v in args.hf.split(",") if v.strip()]
     except ValueError:
@@ -338,6 +339,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_ci_demo(args) -> int:
+    from .demo import ci_quadrics_demo
+
     report = ci_quadrics_demo(seed=args.seed, trials=args.trials, bound=args.bound)
     _emit(args, report.to_dict(), report.to_text())
     return EXIT_OK if report.ok else EXIT_REFUTED
@@ -346,16 +349,102 @@ def cmd_ci_demo(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> CliParser:
+def _arg(*flags, **kwargs):
+    """One `add_argument` call of a subcommand."""
+    return flags, kwargs
+
+
+def _command(handler, help_text, *arguments, file=False, rand=False):
+    """A subcommand; a file command reads a forms file with --vars and --order,
+    a randomized one takes --seed, --trials and --bound, and its own arguments follow."""
+    return handler, help_text, file, rand, arguments
+
+
+# in help order
+COMMANDS = {
+    "in": _command(cmd_in, "initial subspace of a subspace file", file=True),
+    "gin": _command(cmd_gin, "generic initial subspace (randomized trials)", file=True, rand=True),
+    "gin-ideal": _command(
+        cmd_gin_ideal,
+        "truncated generic initial ideal of generators",
+        _arg("--dmax", type=int, required=True),
+        file=True,
+        rand=True,
+    ),
+    "restrict": _command(
+        cmd_restrict,
+        "restrict a subspace to a hyperplane",
+        _arg("--hyperplane", required=True, help="a degree-1 form, e.g. 'x4' or 'x1+2*x2'"),
+        file=True,
+    ),
+    "gcd": _command(
+        cmd_gcd,
+        "gcd of two forms",
+        _arg("--vars", type=_at_least(0), required=True),
+        _arg("forms", nargs=2, help="two forms in the polynomial grammar"),
+    ),
+    "factor": _command(cmd_factor, "common factor of a subspace", file=True),
+    "verify": _command(cmd_verify, "main-theorem verification on a subspace", file=True, rand=True),
+    "make-instance": _command(
+        cmd_make_instance,
+        "planted instance V = W_n * p",
+        _arg("--vars", type=_at_least(0), required=True),
+        _arg("--r", type=int, required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--m", type=int, required=True),
+        _arg("--seed", type=int, default=0),
+        _arg("--bound", type=int, default=10, help="coefficient bound for the planted data"),
+        _arg("--out", default=None, help="also write the subspace file here"),
+    ),
+    "probe": _command(
+        cmd_probe,
+        "hyperplane restriction factor probe",
+        _arg("--expected-m", dest="expected_m", type=int, default=None),
+        file=True,
+        rand=True,
+    ),
+    "hilbert": _command(
+        cmd_hilbert,
+        "quotient Hilbert function of a monomial ideal",
+        _arg("--vars", type=_at_least(1), required=True),
+        _arg("--dmax", type=int, required=True),
+        _arg("ideal", help="comma-separated monomials, e.g. 'x1^2, x1*x2'"),
+    ),
+    "borel": _command(
+        cmd_borel,
+        "Borel-fixedness of a monomial ideal",
+        _arg("--vars", type=_at_least(0), required=True),
+        _arg("ideal"),
+    ),
+    "colon": _command(
+        cmd_colon,
+        "colon of a monomial ideal by the last variable",
+        _arg("--vars", type=_at_least(1), required=True),
+        _arg("ideal"),
+    ),
+    "enumerate": _command(
+        cmd_enumerate,
+        "monomial ideals matching Hilbert/Borel/saturation constraints",
+        _arg("--vars", type=_at_least(0), required=True),
+        _arg("--dmax", type=int, required=True),
+        _arg("--hf", required=True, help="quotient Hilbert function, e.g. '1,4,7,8,8'"),
+    ),
+    "ci-demo": _command(cmd_ci_demo, "three-quadrics complete-intersection demonstration", rand=True),
+}
+
+
+def build_parser(argv=()) -> CliParser:
+    """The parser for argv.  When argv[0] names a subcommand, only that subparser is
+    built; with no argument, -h or an unknown command, all of them, so the help and the
+    invalid-choice error list every command.  A subparser is the same either way."""
     parser = CliParser(
         prog="ginalg",
         description="initial and generic initial subspaces of graded ideal pieces, exactly over the rationals",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, handler, help_text, *, file=False, rand=False):
-        """A subcommand; a file command reads a forms file with --vars and --order,
-        a randomized one takes --seed, --trials and --bound."""
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        handler, help_text, file, rand, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="force JSON output")
@@ -368,61 +457,13 @@ def build_parser() -> CliParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
             p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-        return p
-
-    add("in", cmd_in, "initial subspace of a subspace file", file=True)
-    add("gin", cmd_gin, "generic initial subspace (randomized trials)", file=True, rand=True)
-
-    p = add("gin-ideal", cmd_gin_ideal, "truncated generic initial ideal of generators", file=True, rand=True)
-    p.add_argument("--dmax", type=int, required=True)
-
-    p = add("restrict", cmd_restrict, "restrict a subspace to a hyperplane", file=True)
-    p.add_argument("--hyperplane", required=True, help="a degree-1 form, e.g. 'x4' or 'x1+2*x2'")
-
-    p = add("gcd", cmd_gcd, "gcd of two forms")
-    p.add_argument("--vars", type=_at_least(0), required=True)
-    p.add_argument("forms", nargs=2, help="two forms in the polynomial grammar")
-
-    add("factor", cmd_factor, "common factor of a subspace", file=True)
-    add("verify", cmd_verify, "main-theorem verification on a subspace", file=True, rand=True)
-
-    p = add("make-instance", cmd_make_instance, "planted instance V = W_n * p")
-    p.add_argument("--vars", type=_at_least(0), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=10, help="coefficient bound for the planted data")
-    p.add_argument("--out", default=None, help="also write the subspace file here")
-
-    p = add("probe", cmd_probe, "hyperplane restriction factor probe", file=True, rand=True)
-    p.add_argument("--expected-m", dest="expected_m", type=int, default=None)
-
-    p = add("hilbert", cmd_hilbert, "quotient Hilbert function of a monomial ideal")
-    p.add_argument("--vars", type=_at_least(1), required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("ideal", help="comma-separated monomials, e.g. 'x1^2, x1*x2'")
-
-    p = add("borel", cmd_borel, "Borel-fixedness of a monomial ideal")
-    p.add_argument("--vars", type=_at_least(0), required=True)
-    p.add_argument("ideal")
-
-    p = add("colon", cmd_colon, "colon of a monomial ideal by the last variable")
-    p.add_argument("--vars", type=_at_least(1), required=True)
-    p.add_argument("ideal")
-
-    p = add("enumerate", cmd_enumerate, "monomial ideals matching Hilbert/Borel/saturation constraints")
-    p.add_argument("--vars", type=_at_least(0), required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--hf", required=True, help="quotient Hilbert function, e.g. '1,4,7,8,8'")
-
-    add("ci-demo", cmd_ci_demo, "three-quadrics complete-intersection demonstration", rand=True)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

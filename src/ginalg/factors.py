@@ -28,7 +28,7 @@ from .forms import (
     multiply_rows,
     normalize_form,
 )
-from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, GinReport, gin_subspace
+from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, gin_subspace
 from .subspaces import (
     MonomialSet,
     RowEchelon,

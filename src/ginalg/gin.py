@@ -52,8 +52,7 @@ from .forms import (
     monomial_key,
     monomial_positions,
 )
-from .ideals import MonomialIdeal, _is_borel_closed, minimalize
-from .subspaces import MonomialSet, RowEchelon, _position_tables, initial_after_change
+from .subspaces import MonomialSet, RowEchelon, _is_borel_closed, _position_tables, initial_after_change
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 100
@@ -306,6 +305,8 @@ def gin_ideal_truncated(
     trial; the transformed generators span the same graded pieces as the
     transformed ideal, so the change is applied to the generators once.
     """
+    from .ideals import minimalize
+
     seeds = _trial_seeds(seed, trials)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:

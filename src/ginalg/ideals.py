@@ -1,6 +1,10 @@
 """Monomial-ideal combinatorics: minimal generators, Hilbert functions,
 Borel-fixedness, colon by the last variable, and enumeration of the
-admissible initial-ideal candidates cut out by those constraints."""
+admissible initial-ideal candidates cut out by those constraints.
+
+The Borel-closure test is `subspaces._is_borel_closed`, shared with the
+stability check of a gin trial, so `gin` and `gin_subspace` never load this
+module; `gin_ideal_truncated` loads it for `minimalize`."""
 
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from .forms import (
     monomials_of_degree,
     parse_form,
 )
+from .subspaces import _is_borel_closed
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -69,21 +74,6 @@ def hilbert_function(ideal: MonomialIdeal, degree: int) -> int:
         raise ValueError("degree must be nonnegative")
     total = comb(degree + ideal.num_vars - 1, ideal.num_vars - 1)
     return total - len(ideal_monomials_of_degree(ideal, degree))
-
-
-def _is_borel_closed(monomials, member) -> bool:
-    """Every exchange (x_j/x_i)*m, j < i, of the given monomials satisfies member."""
-    for m in monomials:
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            for j in range(i):
-                moved = list(m)
-                moved[i] -= 1
-                moved[j] += 1
-                if not member(tuple(moved)):
-                    return False
-    return True
 
 
 def is_borel_fixed(ideal: MonomialIdeal) -> bool:

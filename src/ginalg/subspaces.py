@@ -100,6 +100,21 @@ class MonomialSet(Record):
         return MonomialSet(self.num_vars - 1, self.degree, kept)
 
 
+def _is_borel_closed(monomials, member) -> bool:
+    """Every exchange (x_j/x_i)*m, j < i, of the given monomials satisfies member."""
+    for m in monomials:
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            for j in range(i):
+                moved = list(m)
+                moved[i] -= 1
+                moved[j] += 1
+                if not member(tuple(moved)):
+                    return False
+    return True
+
+
 def _cancel(row: Row, pivot_row: Row, column: Exponent) -> Row:
     """Clear row's entry at column with pivot_row, fraction-free: the primitive part
     of a*row - b*pivot_row for the coprime pair a, b that cancels the column, a > 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -394,13 +395,34 @@ def test_module_entry_point():
     assert json.loads(result.stdout) == {"gcd": "x1 + x2", "degree": 1}
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_one_command_parser_matches_the_full_tree():
+    """A call naming a subcommand builds that subparser alone; its usage and help, and
+    the top-level usage that a usage error prints, are the full tree's."""
+    from ginalg.cli import COMMANDS, build_parser
+
+    full = build_parser()
+    assert list(_subparsers(full)) == list(COMMANDS)
+    for name in COMMANDS:
+        alone = build_parser([name, "--json"])
+        assert list(_subparsers(alone)) == [name]
+        sub, full_sub = _subparsers(alone)[name], _subparsers(full)[name]
+        assert sub.prog == f"ginalg {name}"
+        assert sub.format_usage() == full_sub.format_usage()
+        assert sub.format_help() == full_sub.format_help()
+        assert alone.format_usage() == full.format_usage() == "usage: ginalg [-h] command ...\n"
+
+
 def test_invariant_failure_exits_one(capsys, monkeypatch):
-    from ginalg import InvariantError, cli
+    from ginalg import InvariantError, factors
 
     def broken(f, g):
         raise InvariantError("inexact integer division")
 
-    monkeypatch.setattr(cli, "gcd_forms", broken)
+    monkeypatch.setattr(factors, "gcd_forms", broken)
     code, out, err = invoke(capsys, ["gcd", "--vars", "2", "x1", "x2"])
     assert code == 1 and out == ""
     assert "assertion failure: inexact integer division" in err

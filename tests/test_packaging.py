@@ -1,10 +1,15 @@
 """The package's promises: stdlib only at run time, source that Python 3.10 accepts,
-and no runtime check written as `assert`, which `python -O` strips."""
+no runtime check written as `assert`, which `python -O` strips, no unused import,
+and a CLI call that loads only the modules its subcommand uses."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import ginalg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ginalg"
 
@@ -24,17 +29,19 @@ def test_sources_hold_no_assert_statement():
     assert found == []
 
 
-def _modules_loaded_by_importing_cli() -> set[str]:
-    # compared against the modules loaded before the import, since site may load others
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import ginalg.cli\n"
-        "print(*sorted(set(sys.modules) - before))\n"
+def _modules_loaded_by(code: str, *argv: str, cwd=None) -> set[str]:
+    """The modules that running code loads, printed on its last stdout line; compared
+    against the modules loaded before it, since site may load others."""
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint()\nprint(*sorted(set(sys.modules) - before))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60, cwd=cwd
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def _modules_loaded_by_importing_cli() -> set[str]:
+    return _modules_loaded_by("import ginalg.cli")
 
 
 def test_cli_imports_only_the_standard_library():
@@ -76,3 +83,57 @@ def test_only_record_sets_attributes_past_its_guard():
             ):
                 found.append(f"{path.name}:{node.lineno} object.__setattr__")
     assert records == 1 and found == []
+
+
+def test_every_imported_name_is_used():
+    """Each name a module imports, at module or function level, is read somewhere in it."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _modules_loaded_by("import ginalg") == {"ginalg"}
+
+
+CLI_CORE = {"ginalg", "ginalg.cli", "ginalg.forms", "ginalg.subspaces", "ginalg.gin"}
+SUBSPACE_FILE = "s=3 d=3 order=revlex\nx1^3+x1^2*x2\nx1*x2^2+x2^3\nx1^2*x3+x1*x2*x3\n"
+
+
+# each call's arguments after the subcommand, and the modules it loads beyond CLI_CORE
+SUBCOMMAND_CALLS = {
+    "gin": (["V.txt"], set()),
+    "in": (["V.txt"], set()),
+    "gin-ideal": (["--dmax", "4", "V.txt"], {"ginalg.ideals"}),
+    "make-instance": (["--vars", "4", "--r", "3", "--n", "1", "--m", "1"], {"ginalg.factors"}),
+    "verify": (["V.txt"], {"ginalg.factors"}),
+    "probe": (["V.txt"], {"ginalg.factors"}),
+    "gcd": (["--vars", "2", "x1^2-x2^2", "x1+x2"], {"ginalg.factors"}),
+    "ci-demo": ([], {"ginalg.ideals", "ginalg.demo"}),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_CALLS)
+def test_a_cli_call_loads_only_its_subcommand_modules(tmp_path, command):
+    args, extra = SUBCOMMAND_CALLS[command]
+    (tmp_path / "V.txt").write_text(SUBSPACE_FILE)
+    code = "from ginalg.cli import run\nif run(sys.argv[1:]):\n    sys.exit('nonzero exit')"
+    loaded = _modules_loaded_by(code, command, *args, cwd=tmp_path)
+    assert {name for name in loaded if name.partition(".")[0] == "ginalg"} == CLI_CORE | extra
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listing = dir(ginalg)
+    for name in ginalg.__all__:
+        assert getattr(ginalg, name) is not None, name
+        assert name in listing, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(ginalg, "no_such_name")
