@@ -32,7 +32,7 @@ def test_sources_hold_no_assert_statement():
 def _modules_loaded_by(code: str, *argv: str, cwd=None) -> set[str]:
     """The modules that running code loads, printed on its last stdout line; compared
     against the modules loaded before it, since site may load others."""
-    script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint()\nprint(*sorted(set(sys.modules) - before))\n"
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))\n"
     result = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60, cwd=cwd
     )
@@ -40,19 +40,15 @@ def _modules_loaded_by(code: str, *argv: str, cwd=None) -> set[str]:
     return set(result.stdout.splitlines()[-1].split())
 
 
-def _modules_loaded_by_importing_cli() -> set[str]:
-    return _modules_loaded_by("import ginalg.cli")
-
-
 def test_cli_imports_only_the_standard_library():
-    loaded = {name.partition(".")[0] for name in _modules_loaded_by_importing_cli()}
+    loaded = {name.partition(".")[0] for name in _modules_loaded_by("import ginalg.cli")}
     assert sorted(loaded - set(sys.stdlib_module_names) - {"ginalg"}) == []
 
 
 def test_cli_import_loads_no_code_generation_modules():
     # every CLI call is a new process; dataclasses would load these and exec code per class
     generators = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-    assert sorted(generators & _modules_loaded_by_importing_cli()) == []
+    assert sorted(generators & _modules_loaded_by("import ginalg.cli")) == []
 
 
 def test_only_record_sets_attributes_past_its_guard():
