@@ -40,15 +40,19 @@ def _modules_loaded_by(code: str, *argv: str, cwd=None) -> set[str]:
     return set(result.stdout.splitlines()[-1].split())
 
 
+# the CLI and every module its handlers import at call time
+WHOLE_PACKAGE = "import ginalg.cli, ginalg.factors, ginalg.ideals, ginalg.demo"
+
+
 def test_cli_imports_only_the_standard_library():
-    loaded = {name.partition(".")[0] for name in _modules_loaded_by("import ginalg.cli")}
+    loaded = {name.partition(".")[0] for name in _modules_loaded_by(WHOLE_PACKAGE)}
     assert sorted(loaded - set(sys.stdlib_module_names) - {"ginalg"}) == []
 
 
 def test_cli_import_loads_no_code_generation_modules():
     # every CLI call is a new process; dataclasses would load these and exec code per class
     generators = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-    assert sorted(generators & _modules_loaded_by("import ginalg.cli")) == []
+    assert sorted(generators & _modules_loaded_by(WHOLE_PACKAGE)) == []
 
 
 def test_only_record_sets_attributes_past_its_guard():
@@ -109,12 +113,24 @@ SUBCOMMAND_CALLS = {
     "gin": (["V.txt"], set()),
     "in": (["V.txt"], set()),
     "gin-ideal": (["--dmax", "4", "V.txt"], {"ginalg.ideals"}),
+    "restrict": (["--hyperplane", "x3", "V.txt"], set()),
+    "factor": (["V.txt"], {"ginalg.factors"}),
     "make-instance": (["--vars", "4", "--r", "3", "--n", "1", "--m", "1"], {"ginalg.factors"}),
     "verify": (["V.txt"], {"ginalg.factors"}),
     "probe": (["V.txt"], {"ginalg.factors"}),
     "gcd": (["--vars", "2", "x1^2-x2^2", "x1+x2"], {"ginalg.factors"}),
+    "hilbert": (["--vars", "3", "--dmax", "3", "x1^2, x1*x2"], {"ginalg.ideals"}),
+    "borel": (["--vars", "3", "x1^2, x1*x2"], {"ginalg.ideals"}),
+    "colon": (["--vars", "3", "x1^2, x1*x3"], {"ginalg.ideals"}),
+    "enumerate": (["--vars", "3", "--dmax", "2", "--hf", "1,3,3"], {"ginalg.ideals"}),
     "ci-demo": ([], {"ginalg.ideals", "ginalg.demo"}),
 }
+
+
+def test_every_subcommand_has_a_module_load_call():
+    from ginalg.cli import COMMANDS
+
+    assert sorted(SUBCOMMAND_CALLS) == sorted(COMMANDS)
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_CALLS)
