@@ -8,9 +8,9 @@ for identical argv and input files.
 
 Every call is a new process, so each pays only for its own subcommand: the
 parser holds that subcommand's subparser alone (all of them only for help
-and for an unknown command), and the handlers import `factors`, `ideals`
-and `demo` in their own bodies.  A `gin` call loads `cli`, `forms`,
-`subspaces` and `gin`, and nothing else of the package.
+and for an unknown command), and the handlers import `gin`, `factors`,
+`ideals` and `demo` in their own bodies.  An `in` call loads `cli`, `forms`
+and `subspaces`, and nothing else of the package.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .forms import (
     normalize_order_name,
     parse_form,
 )
-from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, gin_ideal_truncated, gin_subspace
 from .subspaces import MonomialSet, RowEchelon, Subspace, echelonize, restrict_subspace
 
 EXIT_OK = 0
@@ -185,6 +184,8 @@ def cmd_in(args) -> int:
 
 
 def cmd_gin(args) -> int:
+    from .gin import gin_subspace
+
     num_vars, degree, order, forms = read_subspace_file(args.file, args)
     report = gin_subspace([integer_row(f)[0] for f in forms], num_vars, degree, order, args.trials, args.seed, args.bound)
     text = ("stable " if report.stable else "UNSTABLE ") + " ".join(report.result.strings())
@@ -193,6 +194,8 @@ def cmd_gin(args) -> int:
 
 
 def cmd_gin_ideal(args) -> int:
+    from .gin import gin_ideal_truncated
+
     _, order, gens = load_generators(args.file, args)
     report = gin_ideal_truncated(
         gens, args.dmax, order, trials=args.trials, seed=args.seed, bound=args.bound
@@ -454,6 +457,7 @@ def build_parser(argv=()) -> CliParser:
             p.add_argument("--vars", type=_at_least(0), default=None, help="number of variables s")
             p.add_argument("--order", default=None, help="revlex | lex | mixed")
         if rand:
+            from .gin import DEFAULT_BOUND, DEFAULT_TRIALS
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
             p.add_argument("--bound", type=int, default=DEFAULT_BOUND)

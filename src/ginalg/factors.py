@@ -183,7 +183,6 @@ class TheoremReport(Record):
     FactorCertificate or None, and the replay data of a violation (`details`, a dict)."""
 
     __slots__ = ("status", "gin", "shape", "certificate", "details")
-    _defaults = {"details": dict}
 
     def to_dict(self) -> dict:
         out = {
@@ -213,10 +212,10 @@ def verify_main_theorem(
         raise ValueError("the main theorem is stated for the revlex order")
     report = gin_subspace(space.rows.values(), space.num_vars, space.degree, space.order, trials, seed, bound)
     if not report.stable:
-        return TheoremReport(STATUS_INCONCLUSIVE, report, None, None)
+        return TheoremReport(STATUS_INCONCLUSIVE, report, None, None, {})
     shape = detect_gin_shape(report.result)
     if shape is None or shape[0] < 3 or shape[2] < 1:
-        return TheoremReport(STATUS_NOT_APPLICABLE, report, shape, None)
+        return TheoremReport(STATUS_NOT_APPLICABLE, report, shape, None, {})
     r, n, m = shape
     factor, found_degree = common_factor(space)
     if found_degree != m:
@@ -239,7 +238,7 @@ def verify_main_theorem(
     # exactly when they span it
     checked = cofactor.dim == space.dim and _multiply_subspace(cofactor, factor) == space
     certificate = FactorCertificate(factor, found_degree, cofactor, (space.num_vars, r, n, m), checked)
-    return TheoremReport(STATUS_CERTIFICATE, report, shape, certificate)
+    return TheoremReport(STATUS_CERTIFICATE, report, shape, certificate, {})
 
 
 def make_instance(

@@ -44,24 +44,21 @@ class InvariantError(RuntimeError):
 
 
 class Record:
-    """An immutable record.  A subclass's `__slots__` names its fields in positional order, and
-    its `_defaults` maps trailing fields to factories of their default values; one that checks
-    or derives its fields does so in its own `__init__`, then passes them to this one.  Records
-    are equal when of the same class with equal fields, and hash as the tuple of their fields.
-    Nothing is generated per class and nothing is imported for it, because every CLI call
-    is a new process that pays its import cost (see the README's Performance section)."""
+    """An immutable record.  A subclass's `__slots__` names its fields in positional order, each
+    given once; one that checks or derives its fields does so in its own `__init__`, then passes
+    them to this one.  Records are equal when of the same class with equal fields, and hash as
+    the tuple of their fields.  Nothing is generated or imported per class, because every CLI
+    call is a new process that pays its import cost (see the README's Performance section)."""
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
         values = dict(zip(names, args), **kwargs)
-        missing = set(names) - set(values) - set(self._defaults)
-        if len(args) > len(names) or kwargs.keys() - set(names[len(args):]) or missing:
+        if len(args) > len(names) or kwargs.keys() - set(names[len(args):]) or len(values) < len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, each once")
         for name in names:
-            object.__setattr__(self, name, values[name] if name in values else self._defaults[name]())
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -281,9 +278,8 @@ class CoordinateChange(Record):
         images = tuple(
             tuple((j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v) for row in matrix
         )
-        rows = [dict(image) for image in images]
-        # invertible modulo a prime means invertible; only a matrix singular modulo it is eliminated exactly
-        if len(RowEchelon(None, rows, 2**61 - 1).rows) < s and len(RowEchelon(None, rows).rows) < s:
+        # keyed so a row's pivot is its last nonzero column: a lower triangular matrix is already echelon
+        if len(RowEchelon(None, [{s - 1 - j: c for j, c in image} for image in images]).rows) < s:
             raise ValueError("singular coordinate change matrix")
         super().__init__(s, matrix, images, denominator)
 

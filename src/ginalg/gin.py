@@ -1,15 +1,15 @@
 """Generic initial subspaces and truncated generic initial ideals.
 
-Genericity is probabilistic: each trial applies an independent random
-integer coordinate change and recomputes the initial subspace.  A dense
-open set of changes yields the true gin and every other change a smaller
-one, so the largest trial is reported; unanimous trials are strong
-evidence; disagreement is surfaced in the report, never hidden.
+Genericity is probabilistic: each trial applies an independent random lower
+unitriangular integer change x_i -> x_i + sum_{j<i} L[i][j] x_j
+(`random_change`, which says why these suffice) and recomputes the initial
+subspace.  A dense open set of changes yields the true gin and every other
+change a smaller one, so the largest trial is reported; unanimous trials are
+strong evidence; disagreement is surfaced in the report, never hidden.
 
 A gin trial reads only pivots, never rows, so it works modulo a prime p of
 its own: `random_prime` draws p uniformly from the primes in [2^60, 2^61),
-from a stream seeded by the trial seed alone, so the coordinate change is
-drawn as it would be without it.  A trial of a subspace
+from a stream seeded by the trial seed alone.  A trial of a subspace
 (`subspaces.initial_after_change`) takes V as any integer rows that span
 it, so `gin` runs no elimination before the trials.  It scans the columns
 of gV in descending order, each from the transposed change through
@@ -87,19 +87,20 @@ class GinReport(Record):
 
 
 def random_change(num_vars: int, seed: int, bound: int = DEFAULT_BOUND) -> CoordinateChange:
-    """Uniform integer entries in [-bound, bound], re-drawn until invertible."""
+    """x_i -> x_i + sum_{j<i} L[i][j] * x_j, L's s(s-1)/2 entries uniform in [-bound, bound]:
+    lower unitriangular, so invertible.  An upper triangular U moves no initial monomial under
+    an order with x1 > ... > xs, and a generic change factors as L U, so gin V = in(L V) for a
+    generic L (Galligo 1974; Eisenbud, GTM 150, 15.9).  A trial misses gin V with probability
+    at most k*d/(2*bound+1), k = dim V: Schwartz-Zippel on a k x k minor of degree <= k*d."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if num_vars < 1:
-        # CoordinateChange refuses an empty matrix, and the loop below would redraw forever
+        # CoordinateChange refuses an empty matrix; name the cause instead
         raise ValueError("need at least one variable")
     rng = random.Random(seed)
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(num_vars)] for _ in range(num_vars)]
-        try:
-            return CoordinateChange(rows)
-        except ValueError:  # singular: redraw
-            continue
+    return CoordinateChange(
+        [[rng.randint(-bound, bound) if j < i else int(j == i) for j in range(num_vars)] for i in range(num_vars)]
+    )
 
 
 def is_prime(n: int) -> bool:
@@ -274,10 +275,10 @@ def initial_ideal_truncated(
 
 class GinIdealReport(Record):
     """The truncated gin as a MonomialIdeal, a GinReport per degree, the trial count and
-    seeds, whether every degree is stable, dmax and the truncation note."""
+    seeds, whether every degree is stable and dmax; `note` states the truncation."""
 
-    __slots__ = ("ideal", "per_degree", "trials", "seeds", "stable", "dmax", "note")
-    _defaults = {"note": lambda: TRUNCATION_NOTE}
+    __slots__ = ("ideal", "per_degree", "trials", "seeds", "stable", "dmax")
+    note = TRUNCATION_NOTE
 
     def to_dict(self) -> dict:
         return {

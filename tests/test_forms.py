@@ -205,6 +205,11 @@ def test_singular_change_rejected():
         CoordinateChange([[1, 2], [2, 4]])
 
 
+def test_change_singular_modulo_a_prime_is_accepted_when_invertible():
+    p = 2**61 - 1
+    assert CoordinateChange([[p, 0], [0, 1]]).images == (((0, p),), ((1, 1),))
+
+
 def test_singular_exactly_when_determinant_is_zero():
     def det(m):
         # Leibniz formula, independent of the elimination CoordinateChange runs
@@ -473,7 +478,7 @@ def _record_fields():
         MonomialSet: (3, 2, frozenset({(2, 0, 0)})),
         MonomialIdeal: (3, ((2, 0, 0), (1, 1, 0))),
         GinReport: (monomials, 3, 2, (5, 6, 7), False),
-        GinIdealReport: (MonomialIdeal(3, ((2, 0, 0),)), {2: gin}, 3, (5, 6, 7), True, 4, "note"),
+        GinIdealReport: (MonomialIdeal(3, ((2, 0, 0),)), {2: gin}, 3, (5, 6, 7), True, 4),
         FactorCertificate: (F("x1", 3), 1, random_subspace(3, 1, 2, seed=0), (3, 3, 1, 1), True),
         TheoremReport: ("certificate", gin, (3, 1, 1), certificate, {"seed": 0}),
         ProbeSample: ("x1 + x2", 1, "x1"),
@@ -526,10 +531,10 @@ def test_coordinate_change_is_an_immutable_value():
             delattr(a, name)
 
 
-def test_record_defaults():
+def test_record_takes_every_field_and_the_truncation_note_is_constant():
     fields = _record_fields()
-    assert GinIdealReport(*fields[GinIdealReport][:-1]).note == TRUNCATION_NOTE
-    first, second = (TheoremReport(*fields[TheoremReport][:-1]) for _ in range(2))
-    assert first.details == {} and first.details is not second.details
-    with pytest.raises(TypeError):
-        ProbeSample("x1", 1)
+    for cls in fields:
+        with pytest.raises(TypeError):
+            cls(*fields[cls][:-1])
+    report = GinIdealReport(*fields[GinIdealReport])
+    assert report.note == report.to_dict()["note"] == TRUNCATION_NOTE

@@ -29,6 +29,7 @@ from ginalg import (
     transform_subspace,
 )
 from ginalg import gin as gin_module
+from ginalg import subspaces as subspaces_module
 from ginalg.forms import ORDER_NAMES
 from ginalg.ideals import colon_by_last_variable
 from oracles import spanning_args
@@ -39,12 +40,51 @@ def F(text, s):
 
 
 def test_random_change_contract():
-    assert random_change(3, seed=4).matrix == random_change(3, seed=4).matrix
+    assert random_change(3, seed=4) == random_change(3, seed=4)
     assert random_change(3, seed=4).matrix != random_change(3, seed=5).matrix
-    for seed in range(20):
-        random_change(2, seed=seed, bound=1)  # invertible by construction, never raises
-    single = random_change(1, seed=0)
-    assert single.matrix[0][0] != 0
+    for s, bound in ((2, 1), (4, 1), (5, 3), (6, 100)):
+        below = set()
+        for seed in range(20):
+            matrix = random_change(s, seed, bound).matrix  # lower unitriangular, so never singular
+            for i, row in enumerate(matrix):
+                assert row[i] == 1 and not any(row[i + 1 :])
+                below.update(row[:i])
+        assert max(map(abs, below)) <= bound and (bound > 1 or below == {-1, 0, 1})
+    assert random_change(1, seed=0) == CoordinateChange.identity(1)
+
+
+def test_random_change_needs_no_elimination(monkeypatch):
+    """A lower triangular matrix is already in echelon form, so the invertibility test of a
+    drawn change never cancels a row."""
+
+    def refuse(*args):
+        raise AssertionError("a drawn change was eliminated")
+
+    monkeypatch.setattr(subspaces_module, "_cancel", refuse)
+    monkeypatch.setattr(subspaces_module, "_cancel_mod", refuse)
+    for s in range(1, 8):
+        for seed in range(5):
+            random_change(s, seed, bound=1 + 99 * (seed % 2))
+
+
+@pytest.mark.parametrize("order", ORDER_NAMES)
+def test_upper_triangular_factor_moves_no_initial_monomial(order):
+    """in(L U V) = in(L V) for the lower unitriangular L a trial draws and any invertible
+    upper triangular U, since substituting U keeps each initial monomial: gin V = in(L V)."""
+    rng = random.Random(len(order))
+    for _ in range(60):
+        s, d = rng.randint(1, 4), rng.randint(1, 3)
+        monomials = monomials_of_degree(s, d)
+        rows = [
+            {e: c for e in monomials if (c := rng.randint(-2, 2))} for _ in range(rng.randint(1, len(monomials)))
+        ]
+        lower = random_change(s, rng.getrandbits(32), bound=rng.choice([1, 3, 100])).matrix
+        upper = [
+            [rng.choice([-3, -1, 2, 5]) if j == i else rng.randint(-3, 3) * (j > i) for j in range(s)] for i in range(s)
+        ]
+        product = [[sum(lower[i][k] * upper[k][j] for k in range(s)) for j in range(s)] for i in range(s)]
+        expected = initial_after_change(rows, s, d, order, CoordinateChange(lower))
+        assert initial_after_change(rows, s, d, order, CoordinateChange(product)) == expected
 
 
 def test_gin_of_linear_form_times_s1():
