@@ -88,7 +88,8 @@ def gcd_forms(f: Form, g: Form) -> Form:
         return normalize_form(g)
     if g.is_zero():
         return normalize_form(f)
-    f._check_ring(g)
+    if f.num_vars != g.num_vars:
+        raise ValueError(f"forms over different variable counts: {f.num_vars} vs {g.num_vars}")
     return normalize_form(Form.from_terms(f.num_vars, _gcd(integer_row(f)[0], integer_row(g)[0])))
 
 

@@ -1,8 +1,9 @@
-"""Exact arithmetic on homogeneous polynomials over the rationals.
+"""Homogeneous polynomials over the rationals, and the integer rows they are computed on.
 
 Forms are sparse term maps keyed by exponent vectors, with Fraction
-coefficients that stay in lowest terms with positive denominator.  All
-values are immutable after construction; every operation is a pure
+coefficients that stay in lowest terms with positive denominator.  A Form
+has no arithmetic: it is only parsed, formatted, normalized and returned.
+All values are immutable after construction; every operation is a pure
 function of its inputs.
 
 Coordinate changes and restrictions run on primitive integer rows (see
@@ -115,6 +116,9 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
     (num_vars, degree), so callers share one tuple."""
     if num_vars == 0:
         return ((),) if degree == 0 else ()
+    if num_vars == 1:
+        # stopping at 0 variables would take degree + 1 steps to list this one monomial
+        return ((degree,),)
     return tuple(m + (e,) for e in range(degree + 1) for m in monomials_of_degree(num_vars - 1, degree - e))
 
 
@@ -135,7 +139,8 @@ def _as_fraction(value) -> Fraction:
 
 
 class Form(Record):
-    """A homogeneous polynomial with exact rational coefficients.
+    """A homogeneous polynomial with exact rational coefficients, as a validated term map
+    with no arithmetic operators.
 
     The zero form keeps a declared degree so graded bookkeeping stays
     total.  Term maps never contain zero coefficients.
@@ -161,29 +166,6 @@ class Form(Record):
             clean[exps] = coeff
         super().__init__(num_vars, degree, clean)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, num_vars: int, degree: int) -> Form:
-        return cls(num_vars, degree, {})
-
-    @classmethod
-    def one(cls, num_vars: int) -> Form:
-        return cls(num_vars, 0, {(0,) * num_vars: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, num_vars: int, exps: Exponent, coeff=1) -> Form:
-        exps = tuple(exps)
-        return cls(num_vars, sum(exps), {exps: _as_fraction(coeff)})
-
-    @classmethod
-    def variable(cls, num_vars: int, index: int) -> Form:
-        """x_index with 1-based index."""
-        if not 1 <= index <= num_vars:
-            raise ValueError(f"variable index {index} out of range 1..{num_vars}")
-        exps = tuple(1 if i == index - 1 else 0 for i in range(num_vars))
-        return cls(num_vars, 1, {exps: Fraction(1)})
-
     @classmethod
     def from_terms(cls, num_vars: int, terms: Mapping[Exponent, Fraction]) -> Form:
         """Infer the degree from the terms; empty maps give the zero form of degree 0."""
@@ -194,56 +176,8 @@ class Form(Record):
         degree = degrees.pop() if degrees else 0
         return cls(num_vars, degree, terms)
 
-    # -- predicates and access --------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exps: Exponent) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_ring(self, other: Form) -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(f"forms over different variable counts: {self.num_vars} vs {other.num_vars}")
-
-    def __add__(self, other: Form) -> Form:
-        self._check_ring(other)
-        if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
-            raise ValueError(f"cannot add forms of degrees {self.degree} and {other.degree}")
-        degree = other.degree if self.is_zero() else self.degree
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return Form(self.num_vars, degree, merged)
-
-    def __neg__(self) -> Form:
-        return Form(self.num_vars, self.degree, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Form) -> Form:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scalar = _as_fraction(other)
-            return Form(self.num_vars, self.degree, {e: c * scalar for e, c in self.terms.items()})
-        self._check_ring(other)
-        product: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                product[key] = product.get(key, Fraction(0)) + ca * cb
-        return Form(self.num_vars, self.degree + other.degree, product)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        if scalar == 0:
-            raise ZeroDivisionError("division of a form by zero")
-        return self * (Fraction(1) / scalar)
 
     # the terms dict cannot be hashed as Record's field tuple
     def __hash__(self) -> int:
@@ -282,10 +216,6 @@ class CoordinateChange(Record):
         if len(RowEchelon(None, [{s - 1 - j: c for j, c in image} for image in images]).rows) < s:
             raise ValueError("singular coordinate change matrix")
         super().__init__(s, matrix, images, denominator)
-
-    @classmethod
-    def identity(cls, num_vars: int) -> CoordinateChange:
-        return cls([[1 if i == j else 0 for j in range(num_vars)] for i in range(num_vars)])
 
     def __repr__(self) -> str:
         return f"CoordinateChange({[[str(v) for v in row] for row in self.matrix]})"
@@ -391,12 +321,18 @@ def restriction_images(linear: Form, num_vars: int) -> tuple[LinearImages, int]:
 
 
 def _monomial_image(exps: Exponent, images: LinearImages, table: dict[Exponent, Row]) -> Row:
-    got = table.get(exps)
-    if got is None:
+    """The image of exps, and of each divisor on the way down to one in the table: each
+    is the one below times the linear image of its first variable.  A loop, not
+    recursion, so the degree is not bounded by the interpreter's recursion limit."""
+    chain = []
+    while (got := table.get(exps)) is None:
         # exps is not the empty monomial, whose image the caller seeds
         i = next(k for k, e in enumerate(exps) if e)
-        got = {}
-        for m, c in _monomial_image(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], images, table).items():
+        chain.append((exps, i))
+        exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+    for exps, i in reversed(chain):
+        below, got = got, {}
+        for m, c in below.items():
             for k, a in images[i]:
                 key = m[:k] + (m[k] + 1,) + m[k + 1 :]
                 got[key] = got.get(key, 0) + a * c

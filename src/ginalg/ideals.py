@@ -29,11 +29,10 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _canonical_sort(gens) -> tuple[Exponent, ...]:
-    # ascending degree, then descending revlex within a degree
-    return tuple(
-        sorted(gens, key=lambda e: (sum(e), tuple(-k for k in monomial_key(REVLEX, e))))
-    )
+def _generator_key(e: Exponent) -> tuple:
+    """Ascending degree, then descending revlex within a degree: the order generators are
+    stored in, and compared in when candidate ideals are sorted."""
+    return sum(e), tuple(-k for k in monomial_key(REVLEX, e))
 
 
 class MonomialIdeal(Record):
@@ -56,7 +55,7 @@ def minimalize(gens, num_vars: int) -> MonomialIdeal:
         for i, m in enumerate(unique)
         if not any(_divides(other, m) for j, other in enumerate(unique) if j != i and other != m)
     ]
-    return MonomialIdeal(num_vars, _canonical_sort(kept))
+    return MonomialIdeal(num_vars, tuple(sorted(kept, key=_generator_key)))
 
 
 def contains_monomial(ideal: MonomialIdeal, exps: Exponent) -> bool:
@@ -213,6 +212,5 @@ def enumerate_gin_candidates(num_vars: int, quotient_hf, dmax: int) -> list[Mono
             extend(d + 1, layer, chosen + [layer])
 
     extend(1, set(), [])
-    # same comparison as the canonical generator storage order
-    results.sort(key=lambda J: [(sum(g), tuple(-k for k in monomial_key(REVLEX, g))) for g in J.gens])
+    results.sort(key=lambda J: [_generator_key(g) for g in J.gens])
     return results

@@ -316,15 +316,22 @@ def initial_after_change(
     images = [[[1]]] + [[None] * len(monomial_positions(order, num_vars, k)) for k in range(1, degree + 1)]
 
     def image_of(k: int, i: int) -> list[int]:
-        if images[k][i] is None:
+        # down the divisors to a built image, then up, each image from the one below: a
+        # loop, so the degree is not bounded by the interpreter's recursion limit
+        chain = []
+        while images[k][i] is None:
             parents, times = _position_tables(order, num_vars, k)
             j, below = parents[i]
-            lower, got = image_of(k - 1, below), [0] * len(parents)
+            chain.append((k, i, j, times, len(parents)))
+            k, i = k - 1, below
+        image = images[k][i]
+        for k, i, j, times, size in reversed(chain):
+            got = [0] * size
             for slot, c in transposed[j]:
-                for q, a in zip(times[slot], lower):
+                for q, a in zip(times[slot], image):
                     got[q] += c * a
-            images[k][i] = got if prime is None else [v % prime for v in got]
-        return images[k][i]
+            images[k][i] = image = got if prime is None else [v % prime for v in got]
+        return image
 
     # a column is keyed by row index: the order serves only to test independence
     columns = RowEchelon(None, prime=prime)

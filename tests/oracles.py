@@ -4,9 +4,10 @@ Nothing here touches the code paths being checked: the order oracles apply
 the definitions directly, the gcd oracle works by bounded degree
 enumeration with its own echelon routine plus trial division
 (`exact_quotient`, over `forms.divide_rows`), the Hilbert oracles count by
-inclusion-exclusion / power-series expansion, and the
-graded-piece oracles substitute and eliminate in `Form` arithmetic over
-`Fraction`, independently of the integer-row kernel in the package.  The
+inclusion-exclusion / power-series expansion, and the graded-piece oracles
+substitute and eliminate in this module's own arithmetic on `Form` term maps
+over `Fraction` (`add`, `sub`, `scale`, `mul`; `Form` itself has none),
+independently of the integer-row kernel in the package.  The
 one exception is `scratch_ideal_graded_piece`, the from-scratch ideal piece
 exactly or modulo a prime: it shares `RowEchelon` with the package, but
 eliminates every shift of the generators where the package grows each
@@ -15,11 +16,11 @@ piece from the one below.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
 
 from ginalg import (
     REVLEX,
@@ -42,6 +43,34 @@ def spanning_args(space: Subspace) -> tuple:
     """A Subspace as the leading arguments of gin_subspace and initial_after_change:
     rows that span it, then its variable count, degree and order."""
     return space.rows.values(), space.num_vars, space.degree, space.order
+
+
+# -- Form arithmetic over Fraction ---------------------------------------------
+
+
+def add(f: Form, g: Form) -> Form:
+    """f + g; a zero summand takes the other's degree."""
+    terms = dict(f.terms)
+    for e, c in g.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return Form(f.num_vars, g.degree if f.is_zero() else f.degree, terms)
+
+
+def scale(f: Form, c) -> Form:
+    return Form(f.num_vars, f.degree, {e: v * c for e, v in f.terms.items()})
+
+
+def sub(f: Form, g: Form) -> Form:
+    return add(f, scale(g, -1))
+
+
+def mul(f: Form, g: Form) -> Form:
+    product: dict = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(map(operator.add, ea, eb))
+            product[e] = product.get(e, 0) + ca * cb
+    return Form(f.num_vars, f.degree + g.degree, product)
 
 
 # -- monomial order definitions, applied literally ---------------------------
@@ -132,21 +161,21 @@ def oracle_gcd(f: Form, g: Form) -> Form:
     for t in range(min(df, dg), 0, -1):
         a_basis = monomials_of_degree(s, dg - t)
         b_basis = monomials_of_degree(s, df - t)
-        columns = [Form.monomial(s, u) * f for u in a_basis]
-        columns += [Form.monomial(s, v) * g * Fraction(-1) for v in b_basis]
+        columns = [mul(Form(s, dg - t, {u: 1}), f) for u in a_basis]
+        columns += [mul(Form(s, df - t, {v: -1}), g) for v in b_basis]
         target = monomials_of_degree(s, df + dg - t)
-        rows = [[col.coefficient(e) for col in columns] for e in target]
+        rows = [[col.terms.get(e, 0) for col in columns] for e in target]
         vec = _nullspace_vector(rows, len(columns))
         if vec is None:
             continue
         a = Form(s, dg - t, {u: vec[i] for i, u in enumerate(a_basis)})
         assert not a.is_zero()
         h = exact_quotient(g, a)
-        assert h is not None and h * a == g, "oracle division failed"
+        assert h is not None and mul(h, a) == g, "oracle division failed"
         cof = exact_quotient(f, h)
-        assert cof is not None and cof * h == f, f"oracle gcd does not divide f: {format_form(h)}"
+        assert cof is not None and mul(cof, h) == f, f"oracle gcd does not divide f: {format_form(h)}"
         return normalize_form(h)
-    return Form.one(s)
+    return Form(s, 0, {(0,) * s: 1})
 
 
 # -- Hilbert function oracles --------------------------------------------------
@@ -177,7 +206,7 @@ def ci_three_quadrics_quotient_hf(dmax: int) -> list[int]:
     return series
 
 
-# -- graded-piece linear algebra in Form arithmetic ----------------------------
+# -- graded-piece linear algebra in the arithmetic above -----------------------
 
 
 def oracle_apply_change(f: Form, change: CoordinateChange) -> Form:
@@ -187,17 +216,16 @@ def oracle_apply_change(f: Form, change: CoordinateChange) -> Form:
         Form(s, 1, {tuple(int(k == j) for k in range(s)): c for j, c in enumerate(row)})
         for row in change.matrix
     ]
-    powers: list[list[Form]] = [[Form.one(s)] for _ in range(s)]
-    result: dict = {}
+    powers: list[list[Form]] = [[Form(s, 0, {(0,) * s: 1})] for _ in range(s)]
+    result = Form(s, f.degree, {})
     for exps, coeff in f.terms.items():
-        term = Form.monomial(s, (0,) * s, coeff)
+        term = Form(s, 0, {(0,) * s: coeff})
         for i, e in enumerate(exps):
             while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * images[i])
-            term = term * powers[i][e]
-        for key, c in term.terms.items():
-            result[key] = result.get(key, Fraction(0)) + c
-    return Form(s, f.degree, result)
+                powers[i].append(mul(powers[i][-1], images[i]))
+            term = mul(term, powers[i][e])
+        result = add(result, term)
+    return result
 
 
 def oracle_restrict(f: Form, linear: Form) -> Form:
@@ -214,22 +242,21 @@ def oracle_restrict(f: Form, linear: Form) -> Form:
         slot = i if i < j else i - 1
         sub_terms[tuple(1 if k == slot else 0 for k in range(s - 1))] = -c / coeffs[j]
     substitute = Form(s - 1, 1, sub_terms)
-    sub_powers = [Form.one(s - 1)]
-    result: dict = {}
+    sub_powers = [Form(s - 1, 0, {(0,) * (s - 1): 1})]
+    result = Form(s - 1, f.degree, {})
     for exps, coeff in f.terms.items():
         while len(sub_powers) <= exps[j]:
-            sub_powers.append(sub_powers[-1] * substitute)
-        term = Form.monomial(s - 1, exps[:j] + exps[j + 1 :], coeff) * sub_powers[exps[j]]
-        for key, c in term.terms.items():
-            result[key] = result.get(key, Fraction(0)) + c
-    return Form(s - 1, f.degree, result)
+            sub_powers.append(mul(sub_powers[-1], substitute))
+        rest = exps[:j] + exps[j + 1 :]
+        result = add(result, mul(Form(s - 1, sum(rest), {rest: coeff}), sub_powers[exps[j]]))
+    return result
 
 
 def oracle_reduce(f: Form, rows: list[Form], order: str) -> Form:
     for row in rows:
-        coeff = f.coefficient(initial_monomial(row, order))
+        coeff = f.terms.get(initial_monomial(row, order), 0)
         if coeff != 0:
-            f = f - row * coeff
+            f = sub(f, scale(row, coeff))
     return f
 
 
@@ -241,8 +268,8 @@ def oracle_echelonize(forms, order: str, num_vars: int, degree: int) -> Subspace
         if f.is_zero():
             continue
         pivot = initial_monomial(f, order)
-        f = f / f.terms[pivot]
-        rows = [row - f * row.coefficient(pivot) for row in rows]
+        f = scale(f, 1 / f.terms[pivot])
+        rows = [sub(row, scale(f, row.terms.get(pivot, 0))) for row in rows]
         rows.append(f)
     rows.sort(key=lambda r: monomial_key(order, initial_monomial(r, order)), reverse=True)
     return Subspace(num_vars, degree, order, {initial_monomial(r, order): integer_row(r)[0] for r in rows})
@@ -250,7 +277,7 @@ def oracle_echelonize(forms, order: str, num_vars: int, degree: int) -> Subspace
 
 def oracle_ideal_graded_piece(gens, degree: int, order: str, num_vars: int) -> Subspace:
     spanning = [
-        Form.monomial(num_vars, m) * g
+        mul(Form(num_vars, sum(m), {m: 1}), g)
         for g in gens
         if g.degree <= degree
         for m in monomials_of_degree(num_vars, degree - g.degree)
@@ -267,7 +294,7 @@ def scratch_ideal_graded_piece(gens, degree: int, order: str, num_vars: int, pri
         if g.degree <= degree:
             row = integer_row(g)[0]
             for shift in monomials_of_degree(num_vars, degree - g.degree):
-                echelon.add({positions[tuple(map(add, e, shift))]: c for e, c in row.items()})
+                echelon.add({positions[tuple(map(operator.add, e, shift))]: c for e, c in row.items()})
     return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
 
 

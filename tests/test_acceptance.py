@@ -14,7 +14,6 @@ import pytest
 from ginalg import (
     MIXED,
     REVLEX,
-    Form,
     common_factor,
     detect_gin_shape,
     gin_ideal_truncated,
@@ -37,7 +36,7 @@ from ginalg import (
 )
 from ginalg.ideals import colon_by_last_variable
 from ginalg.demo import CI_QUOTIENT_HF, J1, J2, is_three_quadric_ci, truncated_initial_ideal
-from oracles import oracle_gcd, spanning_args
+from oracles import mul, oracle_gcd, spanning_args
 
 QUADRIC_SEEDS = [101, 202, 303, 404, 505]
 PARAMETER_SETS = [(3, 3, 1, 1), (3, 3, 2, 1), (4, 3, 1, 1), (4, 3, 1, 2)]
@@ -189,7 +188,7 @@ def test_criterion_06_restriction_identity():
                 seed = 11_000 + count
                 dim = random.Random(seed).randrange(0, comb(d + s - 1, s - 1) + 1)
                 space = random_subspace(s, d, dim, seed=seed)
-                lhs = initial_subspace(restrict_subspace(space, Form.variable(s, s)))
+                lhs = initial_subspace(restrict_subspace(space, parse_form(f"x{s}", s)))
                 rhs = initial_subspace(space).drop_last_variable()
                 if lhs != rhs:
                     failures.append((s, d, dim, seed))
@@ -241,8 +240,8 @@ def test_criterion_08_gcd_oracle_equivalence():
         else:
             shared_degree = rng.randint(1, 2)
             shared = random_form(rng, s, shared_degree, 3)
-            f = random_form(rng, s, rng.randint(0, 4 - shared_degree), 3) * shared
-            g = random_form(rng, s, rng.randint(0, 4 - shared_degree), 3) * shared
+            f = mul(random_form(rng, s, rng.randint(0, 4 - shared_degree), 3), shared)
+            g = mul(random_form(rng, s, rng.randint(0, 4 - shared_degree), 3), shared)
         if f.is_zero() or g.is_zero():
             continue
         mine, reference = gcd_forms(f, g), oracle_gcd(f, g)

@@ -3,12 +3,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from ginalg import echelonize, format_form, random_form
 from ginalg.cli import run
+from oracles import add, scale
 
 
 def invoke(capsys, argv):
@@ -114,11 +116,11 @@ def test_verify_certificate_round_trip(capsys, tmp_path):
 @pytest.mark.parametrize("found", [0, 2])
 def test_verify_reports_a_factor_degree_other_than_m(capsys, monkeypatch, tmp_path, found):
     # the planted instance certifies with m = 1; a common factor of another degree is a violation
-    from ginalg import Form, factors, parse_form
+    from ginalg import factors, parse_form
 
     path = str(tmp_path / "inst.txt")
     invoke(capsys, ["make-instance", "--vars", "4", "--r", "3", "--n", "1", "--m", "1", "--seed", "5", "--out", path])
-    factor = Form.one(4) if found == 0 else parse_form("x1^2", 4)
+    factor = parse_form("1" if found == 0 else "x1^2", 4)
     monkeypatch.setattr(factors, "common_factor", lambda space: (factor, found))
     code, out, _ = invoke(capsys, ["verify", "--seed", "11", path])
     assert code == 1
@@ -292,9 +294,9 @@ def test_gin_of_spanning_rows_equals_gin_of_the_echelon_basis(capsys, tmp_path, 
     scalar-multiple and zero rows give byte for byte the report of the echelon basis."""
     rng = random.Random(len(order))
     forms = [random_form(rng, 4, 2, 3) for _ in range(3)]
-    combination = forms[0] * Fraction(-3, 2) + forms[2] * 5
+    combination = add(scale(forms[0], Fraction(-3, 2)), scale(forms[2], 5))
     spanning = tmp_path / "spanning.txt"
-    lines = [format_form(f) for f in forms + [forms[1], forms[0] * 4, combination]] + ["0", "0*x1^2"]
+    lines = [format_form(f) for f in forms + [forms[1], scale(forms[0], 4), combination]] + ["0", "0*x1^2"]
     rng.shuffle(lines)
     spanning.write_text(f"s=4 d=2 order={order}\n" + "\n".join(lines) + "\n")
     basis = tmp_path / "basis.txt"
@@ -338,6 +340,40 @@ def test_a_repeated_line_builds_one_more_column_per_trial(capsys, monkeypatch, t
     (plain, plain_columns), (repeated, repeated_columns) = reports
     assert plain[0] == 0 and repeated == plain
     assert 3 * 8 <= plain_columns < repeated_columns <= plain_columns + 3 < 3 * 20
+
+
+@pytest.mark.parametrize(
+    "argv, body, expected",
+    [
+        (["restrict", "--hyperplane", "x2"], "s=2\nx1^1200 + x2^1200\n", {"s": 1, "basis": ["x1^1200"]}),
+        (["gin"], "s=1\nx1^1200\n", {"result": ["x1^1200"], "stable": True}),
+    ],
+    ids=["restrict", "gin"],
+)
+def test_degree_beyond_the_recursion_limit(capsys, tmp_path, argv, body, expected):
+    """A monomial's image is built up from its divisors' in a loop, so no degree meets
+    the interpreter's recursion limit."""
+    path = tmp_path / "V.txt"
+    path.write_text(body)
+    code, out, _ = invoke(capsys, argv + [str(path)])
+    payload = json.loads(out)
+    assert code == 0 and {key: payload[key] for key in expected} == expected
+
+
+def test_one_dimensional_gin_of_high_degree_within_budget(capsys, tmp_path):
+    """The scan lists the d + 1 monomials of each degree up to d in 2 variables, which at
+    d = 600 takes well under the budget; a listing that recursed down to no variables
+    took O(d^2) steps per degree, 11 s in all."""
+    from ginalg import forms, subspaces
+
+    for cached in (forms.monomials_of_degree, forms.monomial_positions, subspaces._position_tables):
+        cached.cache_clear()
+    path = tmp_path / "V.txt"
+    path.write_text("s=2\nx1^600 + x2^600\n")
+    start = time.monotonic()
+    code, out, _ = invoke(capsys, ["gin", str(path)])
+    elapsed = time.monotonic() - start
+    assert code == 0 and json.loads(out)["result"] == ["x1^600"] and elapsed < 4.0
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from ginalg.demo import DemoReport, DemoStep
 from ginalg.factors import ProbeSample
 from ginalg.forms import Record, monomial_positions
 from ginalg.gin import TRUNCATION_NOTE
-from oracles import ORDER_ORACLES, exact_quotient
+from oracles import ORDER_ORACLES, add, exact_quotient, mul, scale, sub
 
 
 def F(text, s):
@@ -149,27 +149,27 @@ def test_initial_monomial():
 
 def test_initial_monomial_of_zero():
     with pytest.raises(ValueError, match="initial monomial of zero"):
-        initial_monomial(Form.zero(3, 2), REVLEX)
+        initial_monomial(Form(3, 2, {}), REVLEX)
 
 
 # -- arithmetic ------------------------------------------------------------------
 
 
 def test_multiply():
-    assert F("x1 + x2", 2) * F("x1 - x2", 2) == F("x1^2 - x2^2", 2)
-    assert F("x1 + x2 + x3", 3) * F("x2", 3) == F("x1*x2 + x2^2 + x2*x3", 3)
-    product = F("x1^2", 3) * Form.zero(3, 3)
+    assert mul(F("x1 + x2", 2), F("x1 - x2", 2)) == F("x1^2 - x2^2", 2)
+    assert mul(F("x1 + x2 + x3", 3), F("x2", 3)) == F("x1*x2 + x2^2 + x2*x3", 3)
+    product = mul(F("x1^2", 3), Form(3, 3, {}))
     assert product.is_zero() and product.degree == 5
 
 
 def test_add_degree_mismatch():
     with pytest.raises(ValueError):
-        F("x1", 2) + F("x1^2", 2)
+        add(F("x1", 2), F("x1^2", 2))
 
 
 def test_apply_change_identity():
     f = F("x1^2 - 1/2*x2*x3", 3)
-    assert apply_change(f, CoordinateChange.identity(3)) == f
+    assert apply_change(f, CoordinateChange([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == f
 
 
 def test_apply_change_binomial():
@@ -196,8 +196,8 @@ def test_apply_change_composition_and_multiplicativity():
         # applying m1 and then m2 substitutes x_i -> sum_k m1[i][k] * sum_j m2[k][j] * x_j
         product = [[sum(rows1[i][k] * rows2[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
         assert apply_change(apply_change(f, m1), m2) == apply_change(f, CoordinateChange(product))
-        assert apply_change(f * g, m1) == apply_change(f, m1) * apply_change(g, m1)
-        assert apply_change(f + (-f), m1).is_zero()
+        assert apply_change(mul(f, g), m1) == mul(apply_change(f, m1), apply_change(g, m1))
+        assert apply_change(sub(f, f), m1).is_zero()
 
 
 def test_singular_change_rejected():
@@ -248,7 +248,7 @@ def test_restrict_examples():
 
 def test_restrict_zero_hyperplane():
     with pytest.raises(ValueError):
-        restrict(F("x1^2", 3), Form.zero(3, 1))
+        restrict(F("x1^2", 3), Form(3, 1, {}))
 
 
 def test_restrict_vanishes_iff_divides():
@@ -263,7 +263,7 @@ def test_restrict_vanishes_iff_divides():
             3, {tuple(1 if j == i else 0 for j in range(3)): Fraction(c) for i, c in enumerate(coeffs)}
         )
         other = F("x1 + x2", 3) if rng.random() < 0.5 else F("x2 - x3", 3)
-        multiple = linear * other
+        multiple = mul(linear, other)
         assert restrict(multiple, linear).is_zero()
         assert gcd_forms(multiple, linear) == normalize_form(linear)
         survivor = F("x1^2", 3)
@@ -312,7 +312,7 @@ def test_restrict_commutes_with_change_up_to_quotient_coordinates():
             },
         )
         assert apply_change(preimage, change) == F("x3", 3)
-        for f in (F("x1*x3 - x2^2", 3), F("x1^2 + x2*x3", 3), preimage * F("x1 + x2", 3)):
+        for f in (F("x1*x3 - x2^2", 3), F("x1^2 + x2*x3", 3), mul(preimage, F("x1 + x2", 3))):
             direct = restrict(apply_change(f, change), F("x3", 3))
             through = restrict(f, preimage)
             assert direct.is_zero() == through.is_zero()
@@ -334,8 +334,7 @@ def test_try_divide():
 
 def test_parse_examples():
     f = F("x1^2 - 1/2*x2*x3", 3)
-    assert f.coefficient((2, 0, 0)) == 1
-    assert f.coefficient((0, 1, 1)) == Fraction(-1, 2)
+    assert f.terms == {(2, 0, 0): 1, (0, 1, 1): Fraction(-1, 2)}
     assert F("3*x1*x1", 2) == F("3*x1^2", 2)
     assert F("0", 3).is_zero()
 
@@ -432,11 +431,11 @@ def test_format_round_trip():
             c = rng.randint(-6, 6)
             if c:
                 terms[e] = Fraction(c, rng.randint(1, 4))
-        f = Form.from_terms(3, terms) if terms else Form.zero(3, 3)
+        f = Form.from_terms(3, terms) if terms else Form(3, 3, {})
         assert parse_form(format_form(f), 3) == f
-    assert format_form(Form.zero(3, 2)) == "0*x1^2"
-    assert format_form(Form.zero(3, 0)) == "0"
-    assert format_form(Form.one(3)) == "1"
+    assert format_form(Form(3, 2, {})) == "0*x1^2"
+    assert format_form(Form(3, 0, {})) == "0"
+    assert format_form(Form(3, 0, {(0, 0, 0): 1})) == "1"
 
 
 def test_format_round_trip_property():
@@ -454,7 +453,7 @@ def test_format_round_trip_property():
     @hypothesis.given(forms())
     def check(f):
         # over no variables there is no x1 to carry a zero form's degree, so it reads back in degree 0
-        expected = Form.zero(0, 0) if f.is_zero() and not f.num_vars else f
+        expected = Form(0, 0, {}) if f.is_zero() and not f.num_vars else f
         assert parse_form(format_form(f), f.num_vars) == expected
 
     check()
@@ -463,8 +462,8 @@ def test_format_round_trip_property():
 def test_normalize_form():
     f = F("2/3*x1^2 - 4/3*x2^2", 2)
     assert normalize_form(f) == F("x1^2 - 2*x2^2", 2)
-    assert normalize_form(-f) == F("x1^2 - 2*x2^2", 2)
-    assert normalize_form(F("5", 2)) == Form.one(2)
+    assert normalize_form(scale(f, -1)) == F("x1^2 - 2*x2^2", 2)
+    assert normalize_form(F("5", 2)) == F("1", 2)
 
 
 def _record_fields():
@@ -523,7 +522,7 @@ def test_coordinate_change_is_an_immutable_value():
     a, b = CoordinateChange([[1, 2], [0, Fraction(1, 3)]]), CoordinateChange([[1, 2], [0, Fraction(1, 3)]])
     assert isinstance(a, Record) and a is not b
     assert a == b and hash(a) == hash(b)
-    assert a != CoordinateChange.identity(2) and a != a.matrix
+    assert a != CoordinateChange([[1, 0], [0, 1]]) and a != a.matrix
     for name in CoordinateChange.__slots__:
         with pytest.raises(AttributeError):
             setattr(a, name, None)

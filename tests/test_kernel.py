@@ -1,4 +1,4 @@
-"""The integer-row kernel against the Form-arithmetic reference in oracles.py.
+"""The integer-row kernel against the Fraction-arithmetic reference in oracles.py.
 
 Substitution (`apply_change`, `restrict`, `transform_subspace`,
 `restrict_subspace`) and elimination (`echelonize`, and the reduction
@@ -32,6 +32,7 @@ from ginalg import (
     initial_after_change,
     initial_subspace,
     monomials_of_degree,
+    parse_form,
     random_change,
     random_form,
     random_subspace,
@@ -46,6 +47,8 @@ from ginalg import subspaces
 from ginalg.forms import ORDER_NAMES, REVLEX, format_form, integer_row
 from ginalg.gin import random_prime
 from oracles import (
+    add,
+    scale,
     spanning_args,
     oracle_apply_change,
     oracle_echelonize,
@@ -83,17 +86,17 @@ def _linear(rng, s):
     h = random_form(rng, s, 1, 5)
     while h.is_zero():
         h = random_form(rng, s, 1, 5)
-    return h * Fraction(1, rng.randint(1, 4))
+    return scale(h, Fraction(1, rng.randint(1, 4)))
 
 
 def _independent_and_dependent(rng, s, d, count, density=0.5):
     """count random forms, then combinations of them, zero forms and rescalings."""
     forms = [_sparse_form(rng, s, d, density=density) for _ in range(count)]
     extra = [
-        forms[0] * Fraction(-3, 2),
-        forms[0] + forms[-1] * 5 if count > 1 else forms[0],
-        Form.zero(s, d),
-        Form.zero(s, 0),  # a zero form of another degree is ignored
+        scale(forms[0], Fraction(-3, 2)),
+        add(forms[0], scale(forms[-1], 5)) if count > 1 else forms[0],
+        Form(s, d, {}),
+        Form(s, 0, {}),  # a zero form of another degree is ignored
     ]
     return forms + extra
 
@@ -111,7 +114,7 @@ def test_echelonize_matches_reference(order, s):
         for _ in range(3):
             shuffled = forms[:]
             rng.shuffle(shuffled)
-            scaled = [f * Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)) for f in shuffled]
+            scaled = [scale(f, Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7))) for f in shuffled]
             other = echelonize(scaled, order, num_vars=s, degree=d)
             assert hash(other) == pivot_hash
             assert other == expected
@@ -127,7 +130,7 @@ def test_reduce_form_matches_reference(order, s):
         expected = oracle_reduce(f, list(space.basis), order)
         assert subspaces._reduce(space.rows, integer_row(f)[0]) == integer_row(expected)[0]
         assert contains(space, f) == expected.is_zero()
-    assert contains(space, space.basis[0] * Fraction(7, 3))
+    assert contains(space, scale(space.basis[0], Fraction(7, 3)))
 
 
 @pytest.mark.parametrize("order,s", CASES)
@@ -157,7 +160,7 @@ def test_initial_after_change_matches_moved_subspace(order, s, d):
             [_sparse_form(rng, s, d, density=0.3) for _ in range(max(1, ambient // 3))], order, num_vars=s, degree=d
         ),
         random_subspace(s, d, (ambient + 1) // 2, seed=rng.getrandbits(32), bound=3, order=order),
-        echelonize([Form.monomial(s, e) for e in monomials_of_degree(s, d)], order),
+        echelonize([Form(s, d, {e: 1}) for e in monomials_of_degree(s, d)], order),
     ]
     # bound 1 draws are often far from generic, so their pivots are not an initial segment
     changes = [random_change(s, rng.getrandbits(32), bound=1) for _ in range(2)]
@@ -174,13 +177,14 @@ def test_initial_after_change_of_monomial_subspaces(order, multiplier, factor_de
     scan reaches only after many dependent columns."""
     rng = random.Random(9500 + sum(multiplier) + len(order))
     monomials = [tuple(a + b for a, b in zip(multiplier, e)) for e in monomials_of_degree(5, factor_degree)]
-    space = echelonize([Form.monomial(5, e) for e in monomials], order)
+    space = echelonize([Form(5, 4, {e: 1}) for e in monomials], order)
+    identity = CoordinateChange([[int(i == j) for j in range(5)] for i in range(5)])
     changes = [random_change(5, seed, bound=1) for seed in range(3)] + [random_change(5, 7)]
-    changes += [_change(rng, 5, rational=True), CoordinateChange.identity(5)]
+    changes += [_change(rng, 5, rational=True), identity]
     for change in changes:
         got = initial_after_change(*spanning_args(space), change)
         assert got == _after_change_oracle(space, change) and len(got) == space.dim
-    assert initial_after_change(*spanning_args(space), CoordinateChange.identity(5)).exps == frozenset(monomials)
+    assert initial_after_change(*spanning_args(space), identity).exps == frozenset(monomials)
 
 
 def test_initial_after_change_property():
@@ -297,7 +301,7 @@ def test_restrict_subspace_matches_reference(order, s):
     rng = random.Random(4000 * s + len(order))
     d = 3 if s < 5 else 2
     space = echelonize([_sparse_form(rng, s, d) for _ in range(s + 2)], order, num_vars=s, degree=d)
-    for linear in (_linear(rng, s), _linear(rng, s), Form.variable(s, s), Form.variable(s, 1) * 3):
+    for linear in (_linear(rng, s), _linear(rng, s), parse_form(f"x{s}", s), parse_form("3*x1", s)):
         restricted = [oracle_restrict(f, linear) for f in space.basis]
         assert [restrict(f, linear) for f in space.basis] == restricted
         assert restrict_subspace(space, linear) == oracle_echelonize(restricted, order, s - 1, d)
@@ -321,7 +325,7 @@ def test_ideal_graded_piece_matches_sympy_groebner(s):
     generator_sets = [
         [random_form(rng, s, 2, 9) for _ in range(3)],
         [_sparse_form(rng, s, 2, density=0.4) for _ in range(2)] + [_sparse_form(rng, s, 3, density=0.3)],
-        [Form.variable(s, 1) * Form.variable(s, s), _sparse_form(rng, s, 3, density=0.5)],
+        [parse_form(f"x1*x{s}", s), _sparse_form(rng, s, 3, density=0.5)],
     ]
     for gens in generator_sets:
         gens = [g for g in gens if not g.is_zero()]
@@ -356,8 +360,11 @@ def test_basis_is_the_monic_reference_basis(order, s):
     ]
     for got, reference in cases:
         # the reference rows are integer_row of its monic forms; dividing by
-        # the pivot entry in Form arithmetic recovers those forms
-        monic = [Form(reference.num_vars, reference.degree, row) / row[p] for p, row in reference.rows.items()]
+        # the pivot entry in the oracle's arithmetic recovers those forms
+        monic = [
+            scale(Form(reference.num_vars, reference.degree, row), Fraction(1, row[p]))
+            for p, row in reference.rows.items()
+        ]
         assert list(got.basis) == monic
         assert [f.terms[p] for f, p in zip(got.basis, got.leading_monomials())] == [1] * got.dim
 
@@ -410,9 +417,9 @@ def test_sparse_high_degree_never_enumerates_the_piece(order, monkeypatch):
     chain = [monomial() for _ in range(7)]
     # x^a1 - x^a2, x^a2 - x^a3, ... are independent; the sum of two is not
     binomials = [Form(s, d, {a: 1, b: -1}) for a, b in zip(chain, chain[1:])]
-    space = echelonize(binomials + [binomials[0] + binomials[1] * 3], order)
+    space = echelonize(binomials + [add(binomials[0], scale(binomials[1], 3))], order)
     assert space.dim == len(binomials) and len(space.rows) == space.dim
-    restricted = restrict_subspace(space, Form.variable(s, s) - Form.variable(s, s - 1))
+    restricted = restrict_subspace(space, parse_form(f"x{s} - x{s - 1}", s))
     assert restricted.num_vars == s - 1 and 0 < restricted.dim <= space.dim
     assert len(restricted.basis) == restricted.dim
 
@@ -446,7 +453,7 @@ def test_echelon_canonical_property():
         expected = oracle_echelonize(forms, order, 3, 2)
         shuffled = forms[:]
         rng.shuffle(shuffled)
-        scaled = [f * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for f in shuffled]
+        scaled = [scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for f in shuffled]
         assert echelonize(scaled, order, num_vars=3, degree=2) == expected
 
     check()

@@ -1,6 +1,7 @@
 """The package's promises: stdlib only at run time, source that Python 3.10 accepts,
 no runtime check written as `assert`, which `python -O` strips, no unused import,
-and a CLI call that loads only the modules its subcommand uses."""
+no class with ring operators, and a CLI call that loads only the modules its
+subcommand uses."""
 
 import ast
 import subprocess
@@ -26,6 +27,21 @@ def test_sources_hold_no_assert_statement():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_class_defines_ring_operators():
+    """Forms are computed on as integer rows; `Form` is only parsed, formatted and returned,
+    and the tests' oracles keep their own arithmetic."""
+    operators = {"__add__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__neg__"}
+    found = [
+        f"{path.name}:{item.lineno} {node.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in operators
+    ]
     assert found == []
 
 
