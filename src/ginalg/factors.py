@@ -38,6 +38,11 @@ from .subspaces import (
     restrict_subspace,
 )
 
+# most entries, dim W_n x the monomials of degree n + m, of a planted V (make-instance, seed 0, in
+# process, 2-vCPU Xeon VM: s=r=3 n=16 m=1, 153 x 171, 2.6 s; s=12 r=3 n=2 m=3, 6 x 4368, 0.6 s; refused:
+# s=r=3 n=20 m=2, 231 x 276, 11 s; s=6 r=3 n=8 m=2, 45 x 3003, 5.0 s; s=r=7 n=5 m=3, 462 x 3003, past 60 s)
+MAX_INSTANCE_ENTRIES = 30_000
+
 # -- gcd on integer rows --------------------------------------------------------
 
 
@@ -111,21 +116,21 @@ def divide_subspace(space: Subspace, divisor: Form) -> Subspace:
     if divisor.num_vars != space.num_vars:
         raise ValueError(f"forms over different variable counts: {space.num_vars} vs {divisor.num_vars}")
     divisor_row = integer_row(divisor)[0]
-    echelon = RowEchelon(space.order)
+    quotients = []
     for pivot, row in space.rows.items():
         quotient = divide_rows(row, divisor_row)
         if quotient is None:
             f = form_from_row(space.num_vars, space.degree, row, row[pivot])
             raise ValueError(f"{format_form(divisor)} does not divide basis form {format_form(f)}")
-        echelon.add(quotient)
-    return echelon.subspace(space.num_vars, space.degree - divisor.degree)
+        quotients.append(quotient)
+    return Subspace(space.num_vars, space.degree - divisor.degree, space.order, quotients)
 
 
 def _multiply_subspace(space: Subspace, p: Form) -> Subspace:
     """Echelonized span of the rows times p."""
     p_row = integer_row(p)[0]
     rows = (multiply_rows(w, p_row) for w in space.rows.values())
-    return RowEchelon(space.order, rows).subspace(space.num_vars, space.degree + p.degree)
+    return Subspace(space.num_vars, space.degree + p.degree, space.order, rows)
 
 
 def detect_gin_shape(monomials: MonomialSet) -> tuple[int, int, int] | None:
@@ -254,9 +259,13 @@ def make_instance(
         raise ValueError("need s >= r >= 3")
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
+    dim_w, monomials = comb(n + r - 1, r - 1), comb(n + m + s - 1, s - 1)
+    if dim_w * monomials > MAX_INSTANCE_ENTRIES:
+        raise ValueError(
+            f"instance too large: dim W_n = {dim_w} rows over {monomials} monomials (limit {MAX_INSTANCE_ENTRIES} entries)"
+        )
     rng = random.Random(seed)
     p = random_form(rng, s, m, bound)
-    dim_w = comb(n + r - 1, r - 1)
     cofactor = random_subspace(s, n, dim_w, seed=rng.getrandbits(32), bound=bound)
     return _multiply_subspace(cofactor, p), p, cofactor
 

@@ -8,10 +8,10 @@ equality is a syntactic check.
 
 Elimination (`RowEchelon`) is forward only.  Over the integers it is
 fraction-free, with the content divided out after every row operation; the
-back-substitution to canonical rows runs once, when a Subspace is built, and
-Fractions appear only when its `basis` is read.  Given a prime, the same
-elimination runs in Z/p with monic rows.  Only pivots are read from it, never
-a Subspace: every Subspace and its basis are exact.  Columns independent mod p
+back-substitution to canonical rows runs once, when a Subspace is built from
+any rows that span it, and Fractions appear only when its `basis` is read.
+Given a prime, the same elimination runs in Z/p with monic rows, and only
+pivots are read from it: a Subspace always eliminates exactly.  Columns independent mod p
 are independent over Q, so the pivots mod p are never larger than the exact
 ones (the count of pivots among the first k monomials is a rank, and a rank
 mod p is at most the rank over Q); they are equal unless p divides one fixed
@@ -32,8 +32,6 @@ from .forms import (
     CoordinateChange,
     Exponent,
     Form,
-    InvariantError,
-    LinearImages,
     Record,
     Row,
     form_from_row,
@@ -51,14 +49,15 @@ from .forms import (
 
 class Subspace(Record):
     """A subspace of one graded piece as its canonical rows, keyed by pivot in descending
-    order.  Built from echelon rows, canonical or not and in any order, that map each pivot
-    to its primitive integer row.  `basis`, the rows made monic at their pivots, is built on
-    each read."""
+    order.  Built from any integer rows that span it, dependent, zero, unreduced or in any
+    order: they are eliminated exactly under the order, then back-substituted once.
+    `basis`, the rows made monic at their pivots, is built on each read."""
 
     __slots__ = ("num_vars", "degree", "order", "rows")
 
-    def __init__(self, num_vars: int, degree: int, order: str, rows: dict[Exponent, Row]):
-        canonical = _back_substitute({p: rows[p] for p in sort_monomials(order, rows)})
+    def __init__(self, num_vars: int, degree: int, order: str, rows: Iterable[Row]):
+        echelon = RowEchelon(order, rows).rows
+        canonical = _back_substitute({p: echelon[p] for p in sort_monomials(order, echelon)})
         super().__init__(num_vars, degree, order, canonical)
 
     @property
@@ -172,10 +171,9 @@ class RowEchelon:
     is top-reduced and existing rows are never touched.
     """
 
-    __slots__ = ("order", "prime", "rows", "_pivot")
+    __slots__ = ("prime", "rows", "_pivot")
 
     def __init__(self, order: str | None, rows: Iterable[Row] = (), prime: int | None = None):
-        self.order = order
         self.prime = prime
         self.rows: dict = {}
         if order is None:
@@ -214,11 +212,6 @@ class RowEchelon:
                 _cancel_mod(row, pivot_row, pivot, prime)
         return False
 
-    def subspace(self, num_vars: int, degree: int) -> Subspace:
-        if self.prime is not None or self.order is None:
-            raise InvariantError("only exact rows keyed by exponents make a Subspace; read the pivots instead")
-        return Subspace(num_vars, degree, self.order, self.rows)
-
 
 def echelonize(
     forms,
@@ -242,7 +235,7 @@ def echelonize(
             raise ValueError(f"mixed degrees in echelonize input: {degree} and {f.degree}")
     if num_vars is None or degree is None:
         raise ValueError("echelonize needs num_vars and degree when no nonzero form is given")
-    return RowEchelon(order, (integer_row(f)[0] for f in forms)).subspace(num_vars, degree)
+    return Subspace(num_vars, degree, order, (integer_row(f)[0] for f in forms))
 
 
 def initial_subspace(space: Subspace) -> MonomialSet:
@@ -258,16 +251,11 @@ def contains(space: Subspace, f: Form) -> bool:
     return not _reduce(space.rows, integer_row(f)[0])
 
 
-def _span_of_images(space: Subspace, images: LinearImages, num_vars: int) -> Subspace:
-    """Echelon rows of the images of the rows under a substitution onto num_vars variables."""
-    rows = sym_power(list(space.rows.values()), images, num_vars)
-    return RowEchelon(space.order, rows).subspace(num_vars, space.degree)
-
-
 def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
     if space.num_vars != change.num_vars:
         raise ValueError("subspace and coordinate change over different variable counts")
-    return _span_of_images(space, change.images, space.num_vars)
+    rows = sym_power(list(space.rows.values()), change.images, space.num_vars)
+    return Subspace(space.num_vars, space.degree, space.order, rows)
 
 
 @cache
@@ -353,7 +341,8 @@ def initial_after_change(
 def restrict_subspace(space: Subspace, linear: Form) -> Subspace:
     """Image of the subspace in the quotient by the hyperplane linear = 0."""
     images, _ = restriction_images(linear, space.num_vars)
-    return _span_of_images(space, images, space.num_vars - 1)
+    rows = sym_power(list(space.rows.values()), images, space.num_vars - 1)
+    return Subspace(space.num_vars - 1, space.degree, space.order, rows)
 
 
 def random_form(rng: random.Random, num_vars: int, degree: int, bound: int) -> Form:
@@ -387,5 +376,5 @@ def random_subspace(
     echelon = RowEchelon(order)
     while len(echelon.rows) < dim:
         echelon.add(integer_row(random_form(rng, num_vars, degree, bound))[0])
-    return echelon.subspace(num_vars, degree)
+    return Subspace(num_vars, degree, order, echelon.rows.values())
 

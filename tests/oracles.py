@@ -30,7 +30,6 @@ from ginalg import (
     Subspace,
     format_form,
     initial_monomial,
-    monomial_key,
     monomials_of_degree,
     normalize_form,
     random_form,
@@ -271,8 +270,7 @@ def oracle_echelonize(forms, order: str, num_vars: int, degree: int) -> Subspace
         f = scale(f, 1 / f.terms[pivot])
         rows = [sub(row, scale(f, row.terms.get(pivot, 0))) for row in rows]
         rows.append(f)
-    rows.sort(key=lambda r: monomial_key(order, initial_monomial(r, order)), reverse=True)
-    return Subspace(num_vars, degree, order, {initial_monomial(r, order): integer_row(r)[0] for r in rows})
+    return Subspace(num_vars, degree, order, [integer_row(r)[0] for r in rows])
 
 
 def oracle_ideal_graded_piece(gens, degree: int, order: str, num_vars: int) -> Subspace:

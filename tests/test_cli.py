@@ -243,6 +243,21 @@ def test_bounds_below_one_exit_three(quadrics_file, bound):
         assert "bound must be at least 1" in result.stderr, argv
 
 
+def test_oversized_instance_is_refused_before_any_draw(capsys, monkeypatch):
+    """dim W_n = 462 rows over the 3003 monomials of degree 8 in 7 variables: the refusal
+    comes before a form is drawn or a row eliminated, so the call cannot hang."""
+    from ginalg import factors, subspaces
+
+    def never(*args, **kwargs):
+        raise AssertionError("make-instance drew or eliminated before its size check")
+
+    monkeypatch.setattr(subspaces.RowEchelon, "add", never)
+    monkeypatch.setattr(factors, "random_form", never)
+    code, out, err = invoke(capsys, ["make-instance", "--vars", "7", "--r", "7", "--n", "5", "--m", "3"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: instance too large") and err.count("\n") == 1
+
+
 def test_zero_variables_exit_three(tmp_path):
     # restricting an s=1 subspace leaves s=0, where no coordinate change can be drawn
     one = tmp_path / "one.txt"

@@ -473,7 +473,7 @@ def _record_fields():
     certificate = FactorCertificate(F("x1", 3), 1, random_subspace(3, 1, 2, seed=0), (3, 3, 1, 1), True)
     return {
         Form: (3, 2, {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-3, 2)}),
-        Subspace: (3, 1, REVLEX, {(0, 1, 0): {(0, 1, 0): 1, (0, 0, 1): 2}, (1, 0, 0): {(1, 0, 0): 1, (0, 1, 0): 3}}),
+        Subspace: (3, 1, REVLEX, [{(0, 1, 0): 1, (0, 0, 1): 2}, {(1, 0, 0): 1, (0, 1, 0): 3}]),
         MonomialSet: (3, 2, frozenset({(2, 0, 0)})),
         MonomialIdeal: (3, ((2, 0, 0), (1, 1, 0))),
         GinReport: (monomials, 3, 2, (5, 6, 7), False),

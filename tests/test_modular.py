@@ -26,7 +26,7 @@ from ginalg import (
     random_subspace,
 )
 from ginalg import gin as gin_module
-from ginalg.forms import ORDER_NAMES, InvariantError, apply_change
+from ginalg.forms import ORDER_NAMES, apply_change
 from ginalg.gin import PRIME_TEST_LIMIT, is_prime, random_prime
 from ginalg.subspaces import RowEchelon
 from oracles import spanning_args
@@ -91,12 +91,6 @@ def test_small_prime_pivots_are_never_larger(prime):
         assert _never_larger(order, modular, exact)
 
     check()
-
-
-def test_modular_rows_make_no_subspace():
-    for echelon in (RowEchelon(REVLEX, [{(1, 0): 3}], prime=5), RowEchelon(None, [{0: 3}])):
-        with pytest.raises(InvariantError):
-            echelon.subspace(2, 1)
 
 
 def test_miller_rabin_matches_sympy():

@@ -62,13 +62,22 @@ def test_echelonize_canonical_under_shuffle_and_scale():
 
 
 def test_subspace_rows_in_any_pivot_order():
-    descending = Subspace(2, 1, REVLEX, {(1, 0): {(1, 0): 1}, (0, 1): {(0, 1): 1}})
-    ascending = Subspace(2, 1, REVLEX, {(0, 1): {(0, 1): 1}, (1, 0): {(1, 0): 1}})
+    descending = Subspace(2, 1, REVLEX, [{(1, 0): 1}, {(0, 1): 1}])
+    ascending = Subspace(2, 1, REVLEX, [{(0, 1): 1}, {(1, 0): 1}])
     assert ascending == descending and hash(ascending) == hash(descending)
     # unreduced echelon rows, smallest pivot first
-    unreduced = Subspace(2, 1, REVLEX, {(0, 1): {(0, 1): 1}, (1, 0): {(1, 0): 1, (0, 1): 1}})
+    unreduced = Subspace(2, 1, REVLEX, [{(0, 1): 1}, {(1, 0): 1, (0, 1): 1}])
     assert unreduced.rows == descending.rows
     assert unreduced == descending and hash(unreduced) == hash(descending)
+    # a repeated row, a zero row and a combination of the others span nothing more
+    x, y = {(1, 0, 0): 2, (0, 1, 0): -3, (0, 0, 1): 1}, {(1, 0, 0): 1, (0, 1, 0): 5}
+    combination = {(1, 0, 0): 4, (0, 1, 0): -19, (0, 0, 1): 3}  # 3x - 2y
+    reference = Subspace(3, 1, REVLEX, [x, y])
+    assert reference.dim == 2
+    for rows in ([x, x, y], [{}, y, x], [x, combination], [combination, {}, y, x, y]):
+        spanned = Subspace(3, 1, REVLEX, rows)
+        assert spanned.rows == reference.rows and list(spanned.rows) == list(reference.rows)
+        assert spanned == reference and hash(spanned) == hash(reference)
 
 
 def test_initial_subspace():
