@@ -90,6 +90,14 @@ def _write_inputs(tmp: Path) -> None:
     write("gens.txt", "s=3", [_random_poly(rng, 3, 2) for _ in range(2)])
     write("lex-header.txt", "s=3 d=2 order=lex", [_random_poly(rng, 3, 2) for _ in range(2)])
     write("zero.txt", "s=3 d=2", [{}])
+    # spelled by hand: rational coefficients; one monomial three ways; a bad variable after good lines
+    (tmp / "fractions.txt").write_text(
+        "s=3 d=2\n1/2*x1^2 - 2/3*x2*x3\n3/4*x1*x2 + x3^2 - 5/6*x2^2\n-7/2*x1*x3 + 1/9*x2^2 + 4/3*x1*x2\n"
+    )
+    (tmp / "spellings.txt").write_text(
+        "s=3\nx1^2*x2 - x2*x1*x1 + 2 * x1 * x1 * x2 - x3^3\n2*x2*x1*x1 + x2^3\nx1 * x1 * x2 + x1*x2*x3\n"
+    )
+    (tmp / "bad-variable.txt").write_text("s=3\nx1^2*x2 - x3^3\nx2*x1*x1 + x2^3\nx1^2*x2 + x1*x4^2\n")
 
 
 # -- calls -------------------------------------------------------------------
@@ -144,6 +152,9 @@ CASES = [
     ("enumerate-bad-hf", ["enumerate", "--vars", "3", "--dmax", "3", "--hf", "1,x"], False),
     ("ci-demo", ["ci-demo"], False),
     ("ci-demo-json", ["ci-demo", "--json", "--seed", "2"], False),
+    *[(f"{c}-fractions", [c, "{tmp}/fractions.txt"], False) for c in ("in", "gin", "verify")],
+    *[(f"{c}-spellings", [c, "{tmp}/spellings.txt"], False) for c in ("in", "gin")],
+    *[(f"{c}-bad-variable", [c, "{tmp}/bad-variable.txt"], False) for c in ("in", "gin")],
     ("missing-file", ["in", "{tmp}/missing.txt"], False),
     ("no-arguments", [], True),
     ("help", ["--help"], True),
