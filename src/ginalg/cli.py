@@ -11,6 +11,10 @@ parser holds that subcommand's subparser alone (all of them only for help
 and for an unknown command), and the handlers import `gin`, `factors`,
 `ideals` and `demo` in their own bodies.  An `in` call loads `cli`, `forms`
 and `subspaces`, and nothing else of the package.
+
+A subspace or generators file is read straight into integer rows, one per
+form (`read_forms_file`), which the subspace commands take as they are;
+only `gin-ideal` turns its rows into Forms, its generators.
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ from .forms import (
     REVLEX,
     Form,
     InvariantError,
+    Row,
+    cleared_row,
+    form_from_row,
     format_form,
-    integer_row,
     normalize_order_name,
     parse_form,
+    parse_terms,
 )
-from .subspaces import MonomialSet, RowEchelon, Subspace, echelonize, restrict_subspace
+from .subspaces import MonomialSet, RowEchelon, Subspace, restrict_subspace
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -70,11 +77,12 @@ def _at_least(low: int):
     return parse
 
 
-def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
+def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[tuple[int, Row]]]:
     """Parse a subspace/generators file: optional header line
     "s=<int> d=<int> order=<revlex|lex|mixed>", then one form per line.
     Comments start with '#'.  Header fields override flags, with a warning
-    on conflict."""
+    on conflict.  Each form is read as its degree and its integer row, the
+    form times the lcm of its denominators; no Form is built."""
     with open(path, encoding="utf-8") as handle:
         raw_lines = handle.read().splitlines()
     header: dict[str, str | int] = {}
@@ -111,38 +119,40 @@ def read_forms_file(path: str, args) -> tuple[int, int | None, str, list[Form]]:
     if flag_order and "order" in header and normalize_order_name(flag_order) != order:
         _warn(f"--order {flag_order} conflicts with header order={header['order']}; header wins")
 
-    forms = []
+    lines = []
     for lineno, text in body:
         try:
-            forms.append(parse_form(text, num_vars))
+            degree, terms = parse_terms(text, num_vars)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return num_vars, header.get("d"), order, forms
+        lines.append((degree, cleared_row(terms)[0]))
+    return num_vars, header.get("d"), order, lines
 
 
-def read_subspace_file(path: str, args) -> tuple[int, int, str, list[Form]]:
-    """A forms file as one graded piece, of the header's d or its first nonzero form's degree."""
-    num_vars, degree, order, forms = read_forms_file(path, args)
-    nonzero = [f for f in forms if not f.is_zero()]
+def read_subspace_file(path: str, args) -> tuple[int, int, str, list[Row]]:
+    """A forms file as one graded piece, of the header's d or its first nonzero form's degree,
+    and the rows of its forms: the fields of the `Subspace` they span."""
+    num_vars, degree, order, lines = read_forms_file(path, args)
+    nonzero = [d for d, row in lines if row]
     if degree is None:
-        if not forms:
+        if not lines:
             raise ValueError(f"{path}: empty body needs d=<int> in the header")
         # the zero form parses at degree 0, so only a nonzero form tells the degree
-        degree = nonzero[0].degree if nonzero else 0
-    for f in nonzero:
-        if f.degree != degree:
-            raise ValueError(f"{path}: form of degree {f.degree} in a degree-{degree} subspace file")
-    return num_vars, degree, order, forms
+        degree = nonzero[0] if nonzero else 0
+    for d in nonzero:
+        if d != degree:
+            raise ValueError(f"{path}: form of degree {d} in a degree-{degree} subspace file")
+    return num_vars, degree, order, [row for _, row in lines]
 
 
 def load_subspace(path: str, args) -> Subspace:
-    num_vars, degree, order, forms = read_subspace_file(path, args)
-    return echelonize(forms, order, num_vars=num_vars, degree=degree)
+    return Subspace(*read_subspace_file(path, args))
 
 
 def load_generators(path: str, args) -> tuple[int, str, list[Form]]:
-    num_vars, _, order, forms = read_forms_file(path, args)
-    gens = [g for g in forms if not g.is_zero()]
+    """The nonzero forms of a file, each as its integer row: the ideal they generate is the same."""
+    num_vars, _, order, lines = read_forms_file(path, args)
+    gens = [form_from_row(num_vars, d, row, 1) for d, row in lines if row]
     if not gens:
         raise ValueError(f"{path}: no nonzero generators")
     return num_vars, order, gens
@@ -171,8 +181,8 @@ def _subspace_text(space: Subspace, basis: list[str]) -> str:
 
 
 def cmd_in(args) -> int:
-    num_vars, degree, order, forms = read_subspace_file(args.file, args)
-    pivots = RowEchelon(order, (integer_row(f)[0] for f in forms)).rows
+    num_vars, degree, order, rows = read_subspace_file(args.file, args)
+    pivots = RowEchelon(order, rows).rows
     payload = {
         "monomials": MonomialSet(num_vars, degree, frozenset(pivots)).strings(order),
         "dim": len(pivots),
@@ -186,8 +196,8 @@ def cmd_in(args) -> int:
 def cmd_gin(args) -> int:
     from .gin import gin_subspace
 
-    num_vars, degree, order, forms = read_subspace_file(args.file, args)
-    report = gin_subspace([integer_row(f)[0] for f in forms], num_vars, degree, order, args.trials, args.seed, args.bound)
+    num_vars, degree, order, rows = read_subspace_file(args.file, args)
+    report = gin_subspace(rows, num_vars, degree, order, args.trials, args.seed, args.bound)
     text = ("stable " if report.stable else "UNSTABLE ") + " ".join(report.result.strings())
     _emit(args, report.to_dict(), text)
     return EXIT_OK if report.stable else EXIT_INCONCLUSIVE

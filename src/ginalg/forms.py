@@ -11,6 +11,10 @@ Coordinate changes and restrictions run on primitive integer rows (see
 image is built once per call, and Fractions appear only in the Form
 returned.  Exact division (the GCD in `factors`) runs on the same rows,
 through `multiply_rows` and `divide_rows` in Z[x].
+
+Text has one parser, `parse_terms`, giving a form's degree and terms:
+`parse_form` builds a Form on it, and a reader that needs only the span
+(the CLI's file reader) takes the terms to an integer row with `cleared_row`.
 """
 
 from __future__ import annotations
@@ -241,12 +245,16 @@ def primitive(row: Row) -> tuple[Row, int]:
     return row, content
 
 
+def cleared_row(terms: Mapping[Exponent, int | Fraction]) -> tuple[Row, int]:
+    """The terms times the lcm of their denominators, zero entries dropped, and that lcm."""
+    denominator = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (denominator // c.denominator) for e, c in terms.items() if c}, denominator
+
+
 def integer_row(f: Form) -> tuple[Row, Fraction]:
     """The primitive integer multiple of f and its factor: row = scale * f."""
-    if f.is_zero():
-        return {}, Fraction(1)
-    denominator = math.lcm(*(c.denominator for c in f.terms.values()))
-    row, content = primitive({e: c.numerator * (denominator // c.denominator) for e, c in f.terms.items()})
+    row, denominator = cleared_row(f.terms)
+    row, content = primitive(row)
     return row, Fraction(denominator, content)
 
 
@@ -402,7 +410,7 @@ _TERM = re.compile(rf"(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?:\s*\*\s*{_FACTORS})
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 def _integer(match: re.Match, group) -> int:
@@ -415,8 +423,24 @@ def _integer(match: re.Match, group) -> int:
         raise ParseError(f"integer longer than the {limit}-digit limit", match.start(group)) from None
 
 
-def parse_form(text: str, num_vars: int) -> Form:
-    """Parse the polynomial grammar; rejects inhomogeneous input."""
+# bounded, so a process that reads many large files does not keep every monomial it met
+@lru_cache(maxsize=4096)
+def _monomial(text: str, num_vars: int) -> Exponent:
+    """The exponent a product of factors spells ("" spells 1), decoded once per text and
+    number of variables, since the terms of a file repeat their monomials.  A ParseError is
+    positioned within text."""
+    exps = [0] * num_vars
+    for factor in _FACTOR.finditer(text):
+        index = _integer(factor, 1)
+        if not 1 <= index <= num_vars:
+            raise ParseError(f"variable x{index} out of range 1..{num_vars}", factor.start())
+        exps[index - 1] += _integer(factor, 2) if factor[2] else 1
+    return tuple(exps)
+
+
+def parse_terms(text: str, num_vars: int) -> tuple[int, dict[Exponent, int | Fraction]]:
+    """The degree and the terms of a form in the polynomial grammar, the coefficients of
+    equal monomials summed (a sum may be 0); rejects inhomogeneous input."""
     if not text.strip():
         raise ParseError("empty form", 0)
     terms: list[tuple[int | Fraction, Exponent]] = []
@@ -435,15 +459,16 @@ def parse_form(text: str, num_vars: int) -> Form:
         den = _integer(term, "den") if term["den"] else 1
         if den == 0:
             raise ParseError("zero denominator", term.start("den"))
-        exps = [0] * num_vars
-        for factor in _FACTOR.finditer(text, start, term.end()):
-            index = _integer(factor, 1)
-            if not 1 <= index <= num_vars:
-                raise ParseError(f"variable x{index} out of range 1..{num_vars}", factor.start())
-            exps[index - 1] += _integer(factor, 2) if factor[2] else 1
-        num = -num if sign[1] == "-" else num
-        terms.append((num if den == 1 else Fraction(num, den), tuple(exps)))
         pos = term.end()
+        # a rational holds no x, so the monomial is the rest of the term from its first x
+        at = text.find("x", start, pos)
+        at = pos if at < 0 else at
+        try:
+            exps = _monomial(text[at:pos], num_vars)
+        except ParseError as exc:
+            raise ParseError(exc.message, at + exc.position) from None
+        num = -num if sign[1] == "-" else num
+        terms.append((num if den == 1 else Fraction(num, den), exps))
 
     degrees = sorted({sum(e) for _, e in terms})
     if len(degrees) > 1:
@@ -451,7 +476,12 @@ def parse_form(text: str, num_vars: int) -> Form:
     collected: dict[Exponent, int | Fraction] = {}
     for coeff, exps in terms:
         collected[exps] = collected[exps] + coeff if exps in collected else coeff
-    return Form(num_vars, degrees[0], collected)
+    return degrees[0], collected
+
+
+def parse_form(text: str, num_vars: int) -> Form:
+    """Parse the polynomial grammar; rejects inhomogeneous input."""
+    return Form(num_vars, *parse_terms(text, num_vars))
 
 
 def format_monomial(exps: Exponent) -> str:

@@ -69,6 +69,11 @@ PRIME_TEST_LIMIT = 318665857834031151167461
 # monomials, 0.08 s; s=3 d=22, 276 monomials, 0.04 s, since every piece from d=4 on is full)
 MAX_PIECE_MONOMIALS = 150
 
+# most monomials of degree <= d that a trial of gin_subspace may tabulate (one row x1^d + ... + xs^d,
+# 3 trials, in process on a 2-vCPU VM: s=2 d=600, 180901 monomials, 0.72 s; s=3 d=100, 176851,
+# 0.55 s; s=3 d=130, 383306, 2.9 s and 125 MiB; s=3 d=400, 10.8M, past 60 s)
+MAX_SCAN_MONOMIALS = 300_000
+
 
 class GinReport(Record):
     """gin V in one degree: the largest trial outcome (`result`, a MonomialSet), the trial
@@ -170,6 +175,12 @@ def gin_subspace(
     Each trial computes only the pivots of the moved subspace, from its columns through
     the transposed change, modulo the trial's prime; the moved rows are never built.
     """
+    # a trial tabulates the monomials of every degree up to d
+    count = comb(degree + num_vars, num_vars)
+    if count > MAX_SCAN_MONOMIALS:
+        raise ValueError(
+            f"too many monomials: s={num_vars} has {count} of degree at most {degree} (limit {MAX_SCAN_MONOMIALS})"
+        )
     seeds = _trial_seeds(seed, trials)
     outcomes = [
         initial_after_change(rows, num_vars, degree, order, random_change(num_vars, ts, bound), random_prime(ts))

@@ -269,6 +269,12 @@ def _position_tables(order: str, num_vars: int, degree: int) -> tuple[list[tuple
     return parents, times
 
 
+@cache
+def _factorial_weights(order: str, num_vars: int, degree: int) -> list[int]:
+    """u! = the product of the u_i! for each monomial u of the degree, in monomial_positions order."""
+    return [prod(map(factorial, u)) for u in monomial_positions(order, num_vars, degree)]
+
+
 def initial_after_change(
     rows: Iterable[Row], num_vars: int, degree: int, order: str, change: CoordinateChange, prime: int | None = None
 ) -> MonomialSet:
@@ -297,7 +303,9 @@ def initial_after_change(
     positions = monomial_positions(order, num_vars, degree)
     transposed = [[(i, c) for i, image in enumerate(change.images) for k, c in image if k == j] for j in range(num_vars)]
     # each row as the positions of its monomials u and its entries times u!
-    scaled = [([positions[u] for u in row], [c * prod(map(factorial, u)) for u, c in row.items()]) for row in rows]
+    weights = _factorial_weights(order, num_vars, degree)
+    places = [[positions[u] for u in row] for row in rows]
+    scaled = [(at, [c * weights[i] for i, c in zip(at, row.values())]) for at, row in zip(places, rows)]
     if prime is not None:
         scaled = [(places, [c % prime for c in entries]) for places, entries in scaled]
     # images[k][i]: T of the monomial at position i of degree k, None until built

@@ -391,6 +391,32 @@ def test_one_dimensional_gin_of_high_degree_within_budget(capsys, tmp_path):
     assert code == 0 and json.loads(out)["result"] == ["x1^600"] and elapsed < 4.0
 
 
+def test_gin_of_too_many_monomials_exits_three(tmp_path):
+    """A trial tabulates every monomial of degree at most d, 10.8M of them here, which ran
+    past a minute; gin and verify refuse first."""
+    path = tmp_path / "V.txt"
+    path.write_text("s=3\nx1^400 + x2^400 + x3^400\n")
+    for argv in (["gin", "--text"], ["verify"]):
+        result = _ginalg(argv + [str(path)])
+        assert result.returncode == 3 and result.stdout == ""
+        assert "s=3 has 10827401 of degree at most 400 (limit 300000)" in result.stderr
+
+
+def test_gin_reads_its_file_without_building_a_form(capsys, monkeypatch, quadrics_file):
+    from ginalg import forms
+
+    built = []
+    init = forms.Form.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forms.Form, "__init__", counting)
+    code, out, _ = invoke(capsys, ["gin", quadrics_file])
+    assert code == 0 and json.loads(out)["stable"] and built == []
+
+
 @pytest.mark.parametrize(
     "flags, body, message, commands",
     [

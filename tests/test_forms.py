@@ -1,7 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +36,8 @@ from ginalg import (
 )
 from ginalg.demo import DemoReport, DemoStep
 from ginalg.factors import ProbeSample
-from ginalg.forms import Record, monomial_positions
+from ginalg.cli import read_forms_file
+from ginalg.forms import Record, integer_row, monomial_positions
 from ginalg.gin import TRUNCATION_NOTE
 from oracles import ORDER_ORACLES, add, exact_quotient, mul, scale, sub
 
@@ -375,13 +378,12 @@ def test_malformed_text_raises_positioned_parse_error(text, position):
     assert info.value.position == position
 
 
-def test_parse_grammar_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def _spelled_forms(st):
+    """A hypothesis strategy, given hypothesis.strategies: a string in the grammar, and the
+    Form built from the structure drawn for it."""
 
     @st.composite
     def spelled_forms(draw):
-        """A string in the grammar, and the Form built from the structure drawn for it."""
         num_vars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
 
         def spell(n: int) -> str:
@@ -414,13 +416,51 @@ def test_parse_grammar_property():
         text = "".join(draw(gap) + t for t in tokens) + draw(gap)
         return text, Form(num_vars, degree, terms)
 
+    return spelled_forms()
+
+
+def test_parse_grammar_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(spelled_forms())
+    @hypothesis.given(_spelled_forms(hypothesis.strategies))
     def check(case):
         text, expected = case
         assert parse_form(text, expected.num_vars) == expected
 
     check()
+
+
+def test_file_rows_span_what_the_parsed_forms_span(tmp_path):
+    """The reader's row for a line spans what integer_row(parse_form(line)) does."""
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "V.txt"
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(_spelled_forms(hypothesis.strategies))
+    def check(case):
+        text, expected = case
+        s = expected.num_vars
+        path.write_text(f"s={s}\n{text}\n")
+        [(degree, row)] = read_forms_file(str(path), SimpleNamespace(vars=None, order=None))[3]
+        assert degree == expected.degree
+        assert Subspace(s, degree, REVLEX, [row]) == Subspace(s, degree, REVLEX, [integer_row(parse_form(text, s))[0]])
+
+    check()
+
+
+def test_a_monomial_decoded_for_more_variables_is_still_checked_for_fewer():
+    """Decoded monomials are cached per number of variables, and a failed decode is
+    reported at its place in the text each time."""
+    assert parse_form("x1*x6 + 2*x6^2", 6) == Form(6, 2, {(1, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0, 2): 2})
+    for _ in range(2):
+        with pytest.raises(ParseError, match=r"variable x6 out of range 1\.\.5 \(at position 3\)"):
+            parse_form("x1*x6 + 2*x6^2", 5)
+    if hasattr(sys, "get_int_max_str_digits"):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as info:
+            parse_form(f"x1 + 3 * x2^{digits}", 2)
+        assert info.value.position == 12
 
 
 def test_format_round_trip():
