@@ -98,6 +98,8 @@ def _write_inputs(tmp: Path) -> None:
         "s=3\nx1^2*x2 - x2*x1*x1 + 2 * x1 * x1 * x2 - x3^3\n2*x2*x1*x1 + x2^3\nx1 * x1 * x2 + x1*x2*x3\n"
     )
     (tmp / "bad-variable.txt").write_text("s=3\nx1^2*x2 - x3^3\nx2*x1*x1 + x2^3\nx1^2*x2 + x1*x4^2\n")
+    write("quadrics.txt", "s=4", [_random_poly(rng, 4, 2) for _ in range(3)])
+    write("mixed-degrees.txt", "s=4", [_random_poly(rng, 4, 2), _random_poly(rng, 4, 3), _random_poly(rng, 4, 3)])
 
 
 # -- calls -------------------------------------------------------------------
@@ -115,6 +117,12 @@ CASES = [
     *[(f"gin-ideal-{o}", ["gin-ideal", "--order", o, "--dmax", "4", "--seed", "1", "{tmp}/gens.txt"], False)
       for o in ORDERS],
     ("gin-ideal-text", ["gin-ideal", "--text", "--dmax", "3", "{tmp}/gens.txt"], False),
+    # above reg 4 every product of a degree reduces to zero
+    ("gin-ideal-quadrics", ["gin-ideal", "--dmax", "6", "--seed", "2", "{tmp}/quadrics.txt"], False),
+    *[(f"gin-ideal-mixed-degrees-{o}", ["gin-ideal", "--order", o, "--dmax", "5", "{tmp}/mixed-degrees.txt"], False)
+      for o in ORDERS],
+    ("gin-ideal-one-trial", ["gin-ideal", "--bound", "1", "--trials", "1", "--dmax", "5", "{tmp}/quadrics.txt"],
+     False),
     *[(f"restrict-{o}", ["restrict", "--order", o, "--hyperplane", "x1 + 2*x2 - x4", "{tmp}/dense.txt"], False)
       for o in ORDERS],
     ("restrict-text", ["restrict", "--text", "--hyperplane", "x3", "{tmp}/dependent.txt"], False),
