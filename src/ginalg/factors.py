@@ -11,7 +11,6 @@ rows; Forms are built only for results.
 from __future__ import annotations
 
 import random
-from functools import reduce
 from math import comb
 
 from .forms import (
@@ -27,6 +26,7 @@ from .forms import (
     monomials_of_degree,
     multiply_rows,
     normalize_form,
+    primitive,
 )
 from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, gin_subspace
 from .subspaces import (
@@ -102,10 +102,17 @@ def gcd_forms(f: Form, g: Form) -> Form:
 
 
 def common_factor(space: Subspace) -> tuple[Form, int]:
-    """GCD over the canonical rows; (1, 0) when the forms are coprime."""
+    """GCD over the canonical rows; (1, 0) when the forms are coprime.  A row that the
+    primitive gcd so far divides leaves it as it is, so only a failed division runs a sweep
+    (the second row always does: distinct canonical rows are not proportional)."""
     if space.dim == 0:
         raise ValueError("common factor of the zero subspace")
-    factor = normalize_form(Form.from_terms(space.num_vars, reduce(_gcd, space.rows.values())))
+    rows = iter(space.rows.values())
+    factor = next(rows)
+    for row in rows:
+        if divide_rows(row, factor) is None:
+            factor = primitive(_gcd(factor, row))[0]
+    factor = normalize_form(Form.from_terms(space.num_vars, factor))
     return factor, factor.degree
 
 

@@ -19,7 +19,10 @@ from one a degree lower through cached position tables.  The scan stops at
 the dim V-th independent column.  A trial of an ideal grows each degree's
 piece from the one below (`ideal_graded_piece`): x_j times the echelon rows
 of I_{d-1} and the moved generators of degree d span I_d, and the Pommaret
-multiplicative products among them are stored with no elimination.
+multiplicative products among them are stored with no elimination.  The
+others are not reduced one by one: random combinations of them are, until
+enough in a row reduce to zero (`_grow`).  Past the regularity that is one
+reduction per degree for a trial's prime, not one per product.
 
 Columns independent mod p are independent over Q, so a trial is never
 larger than the exact in(gV), and equals it unless p divides one fixed
@@ -27,9 +30,12 @@ nonzero k x k minor of the moved rows (k = dim V, or dim I_d per degree).
 A nonzero integer of B bits has at most B/60 prime factors above 2^60, and
 about 2.7e16 primes lie in [2^60, 2^61), so a trial slips with probability
 at most (B/60)/2.7e16, B the minor's Hadamard bit bound (the sum of the
-log2 of its rows' Euclidean norms).  A slip only makes a trial smaller,
-which the maximum estimator already tolerates.  What reads rows stays
-exact, and so do the deterministic reads: `ideal_graded_piece` and
+log2 of its rows' Euclidean norms).  The zero tests of an ideal's piece
+add one term: they end early with probability at most (k+1) * 2^-60 per
+degree, k = dim I_d.  A slip or an early end only makes a trial smaller,
+which the maximum estimator already tolerates: the one-sided property
+holds unconditionally.  What reads rows stays exact, and so do the
+deterministic reads, which reduce every row: `ideal_graded_piece` and
 `initial_ideal_truncated` without a prime (the demo's Hilbert pattern,
 initial ideals and witness search), the `in` subcommand and every Subspace.
 """
@@ -52,7 +58,7 @@ from .forms import (
     monomial_key,
     monomial_positions,
 )
-from .subspaces import MonomialSet, RowEchelon, _is_borel_closed, _position_tables, initial_after_change
+from .subspaces import MonomialSet, RowEchelon, _is_borel_closed, _position_tables, _scan_after_change, _weighted_rows
 
 DEFAULT_TRIALS = 3
 DEFAULT_BOUND = 100
@@ -65,8 +71,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_TEST_LIMIT = 318665857834031151167461
 
 # largest graded piece for initial_ideal_truncated (gin_ideal_truncated of 3 generic quadrics,
-# 3 trials, mod p, in process on a 2-vCPU VM: s=5 d=5, 126 monomials, 0.04 s; s=5 d=6, 210
-# monomials, 0.08 s; s=3 d=22, 276 monomials, 0.04 s, since every piece from d=4 on is full)
+# 3 trials, mod p, in process on a 2-vCPU VM, median of 5: s=5 d=5, 126 monomials, 0.019 s; s=5
+# d=6, 210 monomials, 0.025 s; s=3 d=22, 276 monomials, 0.049 s, since every piece from d=4 on is full)
 MAX_PIECE_MONOMIALS = 150
 
 # most monomials of degree <= d that a trial of gin_subspace may tabulate (one row x1^d + ... + xs^d,
@@ -182,8 +188,9 @@ def gin_subspace(
             f"too many monomials: s={num_vars} has {count} of degree at most {degree} (limit {MAX_SCAN_MONOMIALS})"
         )
     seeds = _trial_seeds(seed, trials)
+    weighted = _weighted_rows(rows, num_vars, degree, order)
     outcomes = [
-        initial_after_change(rows, num_vars, degree, order, random_change(num_vars, ts, bound), random_prime(ts))
+        _scan_after_change(weighted, num_vars, degree, order, random_change(num_vars, ts, bound), random_prime(ts))
         for ts in seeds
     ]
     return _report(outcomes, order, seeds)
@@ -202,8 +209,17 @@ def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_va
     I_degree is spanned by x_j times the rows below and the generators of that degree.  A
     product whose j is at least the last variable of its row's pivot m is multiplicative:
     its pivot is x_j * m, and no two such products share one, so they are stored with no
-    elimination; only the other products and the new generators are top-reduced.  Once a
-    piece is all of S_d, so is every later one, and its rows are the unit rows.
+    elimination.  Exactly, the other products and the new generators are top-reduced one
+    by one.  Modulo a prime p, while they outnumber the zero tests needed, random
+    combinations of them are top-reduced instead, coefficients uniform in [0, p) from a
+    stream seeded by p and the degree, so a trial replays exactly.  A nonzero residual lies
+    in I_degree and is kept; the degree ends after ceil(60 / (bits of p - 1)) zero
+    residuals in a row, one for a 61-bit trial prime, or once the piece is full.  While the
+    span is short of I_degree a combination falls in it with probability at most 1/p, so
+    the piece misses a pivot with probability at most (k+1) * 2^-60, k = dim I_degree, and
+    is never larger than the echelon of every row mod p; otherwise their pivots are equal,
+    since a span has one pivot set.  Once a piece is all of S_d, so is every later one, and
+    its rows are the unit rows.
     """
     below = echelon.rows
     positions = monomial_positions(order, num_vars, degree)
@@ -227,8 +243,21 @@ def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_va
     for g in gens:
         if g.degree == degree:
             later.append({positions[e]: c for e, c in integer_row(g)[0].items()})
-    for row in later:
-        echelon.add(row)
+    prime = echelon.prime
+    tests = prime and -(-60 // (prime.bit_length() - 1))
+    if prime is None or len(later) <= tests:
+        for row in later:
+            echelon.add(row)
+        return
+    rng = random.Random(f"grow:{prime}:{degree}")
+    zeros = 0
+    while zeros < tests and len(echelon.rows) < len(positions):
+        combination = [0] * len(positions)
+        for row in later:
+            r = rng.randrange(prime)
+            for i, c in row.items():
+                combination[i] += r * c
+        zeros = 0 if echelon.add({i: c for i, c in enumerate(combination) if c}) else zeros + 1
 
 
 def ideal_graded_piece(

@@ -275,13 +275,35 @@ def _factorial_weights(order: str, num_vars: int, degree: int) -> list[int]:
     return [prod(map(factorial, u)) for u in monomial_positions(order, num_vars, degree)]
 
 
+def _weighted_rows(rows: Iterable[Row], num_vars: int, degree: int, order: str) -> list[tuple[list[int], list[int]]]:
+    """Each nonzero row as the positions of its monomials u and its entries times u!."""
+    positions = monomial_positions(order, num_vars, degree)
+    weights = _factorial_weights(order, num_vars, degree)
+    rows = [row for row in rows if row]
+    places = [[positions[u] for u in row] for row in rows]
+    return [(at, [c * weights[i] for i, c in zip(at, row.values())]) for at, row in zip(places, rows)]
+
+
 def initial_after_change(
     rows: Iterable[Row], num_vars: int, degree: int, order: str, change: CoordinateChange, prime: int | None = None
 ) -> MonomialSet:
     """in(gV) for the change g and the span V of integer rows, dependent or zero ones
     allowed: initial_subspace(transform_subspace(V, change)), read from the columns of the
     moved rows without building them; with a prime, all is reduced modulo it, and the
-    pivots are at most the exact ones.
+    pivots are at most the exact ones."""
+    return _scan_after_change(_weighted_rows(rows, num_vars, degree, order), num_vars, degree, order, change, prime)
+
+
+def _scan_after_change(
+    weighted: list[tuple[list[int], list[int]]],
+    num_vars: int,
+    degree: int,
+    order: str,
+    change: CoordinateChange,
+    prime: int | None,
+) -> MonomialSet:
+    """initial_after_change of the rows as `_weighted_rows` gives them: they depend on
+    neither the change nor the prime, so the trials of one gin share them.
 
     With A = Sym^d(g) the moved rows are R*A.  Expanding (x^T g y)^d in x and in y gives
     A[u, m](g) = (u!/m!) * A[m, u](g^T), where u! is the product of the u_i!.  So column m
@@ -297,17 +319,11 @@ def initial_after_change(
     """
     if num_vars != change.num_vars:
         raise ValueError("rows and coordinate change over different variable counts")
-    rows = [row for row in rows if row]
-    if not rows:
+    if not weighted:
         return MonomialSet(num_vars, degree, frozenset())
     positions = monomial_positions(order, num_vars, degree)
     transposed = [[(i, c) for i, image in enumerate(change.images) for k, c in image if k == j] for j in range(num_vars)]
-    # each row as the positions of its monomials u and its entries times u!
-    weights = _factorial_weights(order, num_vars, degree)
-    places = [[positions[u] for u in row] for row in rows]
-    scaled = [(at, [c * weights[i] for i, c in zip(at, row.values())]) for at, row in zip(places, rows)]
-    if prime is not None:
-        scaled = [(places, [c % prime for c in entries]) for places, entries in scaled]
+    scaled = weighted if prime is None else [(at, [c % prime for c in entries]) for at, entries in weighted]
     # images[k][i]: T of the monomial at position i of degree k, None until built
     images = [[[1]]] + [[None] * len(monomial_positions(order, num_vars, k)) for k in range(1, degree + 1)]
 
@@ -341,7 +357,7 @@ def initial_after_change(
         elif rank is None:
             # a dependent column: the rows may be dependent too, and their rank bounds the pivots
             rank = len(RowEchelon(None, (dict(zip(*row)) for row in scaled), prime).rows)
-        if len(pivots) == (len(rows) if rank is None else rank):
+        if len(pivots) == (len(scaled) if rank is None else rank):
             break
     return MonomialSet(num_vars, degree, frozenset(pivots))
 

@@ -5,10 +5,13 @@ generators of degree d; `scratch_ideal_graded_piece` eliminates every shift x^a 
 Both span I_d over Q and over F_p for any prime p, so their pivots agree exactly and
 modulo every prime.  A product x_j * row with j at least the last variable of the row's
 pivot is multiplicative: those land on distinct pivots and are stored with no
-elimination, and once a piece is all of S_d nothing more is built.
+elimination, and once a piece is all of S_d nothing more is built.  Modulo a prime the
+other rows of a degree are folded into random combinations, one RowEchelon.add each, until
+enough of them in a row reduce to zero.
 """
 
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,7 @@ from ginalg import (
 from ginalg import gin as gin_module
 from ginalg import subspaces
 from ginalg.forms import LEX, ORDER_NAMES
-from ginalg.gin import random_prime
+from ginalg.gin import MAX_PIECE_MONOMIALS, random_prime
 from ginalg.subspaces import RowEchelon
 from oracles import scratch_ideal_graded_piece
 
@@ -137,6 +140,59 @@ def test_grown_pieces_property():
     check()
 
 
+def test_zero_tests_past_the_regularity_property():
+    """Dense generators of mixed degrees d_i, grown to one degree past sum(d_i - 1) + 1, the
+    regularity of a complete intersection of those degrees: there every product reduces to
+    zero, and with a 61-bit prime a single zero test settles the degree."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def generators(draw):
+        s = draw(st.integers(4, 5))
+        degrees = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+        dmax = sum(d - 1 for d in degrees) + 2
+        hypothesis.assume(comb(dmax + s - 1, s - 1) <= MAX_PIECE_MONOMIALS)
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return s, [random_form(rng, s, d, 100) for d in degrees], dmax
+
+    primes = st.one_of(st.sampled_from([2, 3]), st.builds(random_prime, st.integers(0, 99)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(generators(), st.sampled_from(ORDER_NAMES), primes)
+    def check(case, order, prime):
+        s, gens, dmax = case
+        _assert_grown_equals_scratch(gens, dmax, order, s, prime)
+        if order == REVLEX and prime > 3:
+            # in generic coordinates the piece below is stable: its multiplicative products are all
+            pieces = initial_ideal_truncated(gens, dmax, order, prime)
+            assert pieces[dmax].exps == {_times(m, j) for m in pieces[dmax - 1].exps for j in range(_last(m), s)}
+
+    check()
+
+
+def test_a_failed_zero_test_keeps_its_residual(monkeypatch):
+    """Under lex the witness fixture's in(I_4) has monomials that no multiplicative product
+    reaches, so zero tests of degree 4 fail and each residual is kept as a new row, until
+    one test reduces to zero."""
+    gens = _fixture()
+    echelon = RowEchelon(None, prime=PRIME)
+    below = [ideal_graded_piece(gens, d, LEX, 4, PRIME, echelon) for d in (2, 3)][-1]
+    added = []
+    add = RowEchelon.add
+
+    def recording(self, row):
+        added.append(add(self, row))
+        return added[-1]
+
+    monkeypatch.setattr(RowEchelon, "add", recording)
+    piece = ideal_graded_piece(gens, 4, LEX, 4, PRIME, echelon)
+    placed = {_times(m, j) for m in below.exps for j in range(_last(m), 4)}
+    assert len(piece) > len(placed)
+    assert added == [True] * (len(piece) - len(placed)) + [False]
+    assert piece == scratch_ideal_graded_piece(gens, 4, LEX, 4, PRIME)
+
+
 def test_a_shared_echelon_is_grown_in_place():
     rng = random.Random(3)
     gens = [random_form(rng, 4, 2, 9) for _ in range(3)]
@@ -168,25 +224,45 @@ def _counted(monkeypatch):
     return counts
 
 
+def _per_degree(monkeypatch, counts):
+    """{degree: (piece size, RowEchelon.add calls)} of every later ideal_graded_piece call."""
+    per_degree = {}
+    piece = gin_module.ideal_graded_piece
+
+    def recording(*args, **kwargs):
+        before = counts["add"]
+        result = piece(*args, **kwargs)
+        per_degree[args[1]] = (len(result), counts["add"] - before)
+        return result
+
+    monkeypatch.setattr(gin_module, "ideal_graded_piece", recording)
+    return per_degree
+
+
 def test_multiplicative_products_are_placed_with_no_elimination(monkeypatch):
     """3 generic quadrics at s=5, dmax 5, moved and reduced as a gin-ideal trial: the grown
-    pass cancels less than the scratch one, and only the non-multiplicative products and
-    the generators go through RowEchelon.add."""
+    pass cancels less than the scratch one, and the non-multiplicative products and the
+    generators go through RowEchelon.add only as random combinations."""
     s, dmax = 5, 5
     rng = random.Random(1)
     change = random_change(s, 4)
     gens = [apply_change(random_form(rng, s, 2, 100), change) for _ in range(3)]
     counts = _counted(monkeypatch)
+    per_degree = _per_degree(monkeypatch, counts)
     pieces = initial_ideal_truncated(gens, dmax, REVLEX, PRIME)
     grown = dict(counts)
     counts.update(add=0, cancel=0)
     for d in range(2, dmax + 1):
         assert scratch_ideal_graded_piece(gens, d, REVLEX, s, PRIME) == pieces[d]
     assert 0 < grown["cancel"] < counts["cancel"]
-    # every product of a degree-d row: s of them, s - last(pivot) of them multiplicative
-    products = sum(s * len(pieces[d]) for d in range(2, dmax))
-    multiplicative = sum(s - _last(m) for d in range(2, dmax) for m in pieces[d].exps)
-    assert grown["add"] == len(gens) + products - multiplicative
+    # one add per combination tested: one per pivot that no multiplicative product places,
+    # and the one zero test that a 61-bit prime needs to end the degree
+    placed = {d + 1: sum(s - _last(m) for m in pieces[d].exps) for d in range(2, dmax)}
+    tested = {d: len(pieces[d]) - placed.get(d, 0) + 1 for d in range(2, dmax + 1)}
+    assert grown["add"] == sum(tested.values())
+    assert {d: adds for d, (_, adds) in per_degree.items()} == tested
+    # past the regularity, 4, every product of degree 5 is in the span of the placed ones
+    assert tested[5] == 1
     # and they land on distinct pivots of the piece above
     for d in range(2, dmax):
         landed = {_times(m, j) for m in pieces[d].exps for j in range(_last(m), s)}
@@ -199,19 +275,10 @@ def test_no_product_is_built_once_a_piece_is_full(monkeypatch):
     rng = random.Random(2)
     gens = [random_form(rng, 3, 2, 100) for _ in range(3)]
     counts = _counted(monkeypatch)
-    per_degree = []
-    piece = gin_module.ideal_graded_piece
-
-    def recording(*args, **kwargs):
-        before = counts["add"]
-        result = piece(*args, **kwargs)
-        per_degree.append((args[1], len(result), counts["add"] - before))
-        return result
-
-    monkeypatch.setattr(gin_module, "ideal_graded_piece", recording)
+    per_degree = _per_degree(monkeypatch, counts)
     pieces = initial_ideal_truncated(gens, 14, REVLEX, PRIME)
-    full = [d for d, size, _ in per_degree if size == len(monomials_of_degree(3, d))]
+    full = [d for d, (size, _) in per_degree.items() if size == len(monomials_of_degree(3, d))]
     assert full == list(range(4, 15))
-    assert [adds for d, _, adds in per_degree if d > 4] == [0] * 10
+    assert [adds for d, (_, adds) in per_degree.items() if d > 4] == [0] * 10
     for d in (4, 5, 14):
         assert pieces[d] == scratch_ideal_graded_piece(gens, d, REVLEX, 3, PRIME)
