@@ -141,9 +141,10 @@ def test_grown_pieces_property():
 
 
 def test_zero_tests_past_the_regularity_property():
-    """Dense generators of mixed degrees d_i, grown to one degree past sum(d_i - 1) + 1, the
-    regularity of a complete intersection of those degrees: there every product reduces to
-    zero, and with a 61-bit prime a single zero test settles the degree."""
+    """Dense generators of mixed degrees d_i, grown modulo 2, 3 and 61-bit primes to one
+    degree past sum(d_i - 1) + 1, the regularity of a complete intersection of those
+    degrees, equal the scratch construction.  Under revlex and a 61-bit prime the top piece
+    is the multiplicative products of the one below: every other product reduced to zero."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -164,7 +165,7 @@ def test_zero_tests_past_the_regularity_property():
         s, gens, dmax = case
         _assert_grown_equals_scratch(gens, dmax, order, s, prime)
         if order == REVLEX and prime > 3:
-            # in generic coordinates the piece below is stable: its multiplicative products are all
+            # in generic coordinates the piece below is stable, so its multiplicative products fill the top
             pieces = initial_ideal_truncated(gens, dmax, order, prime)
             assert pieces[dmax].exps == {_times(m, j) for m in pieces[dmax - 1].exps for j in range(_last(m), s)}
 
