@@ -210,11 +210,11 @@ def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_va
     product whose j is at least the last variable of its row's pivot m is multiplicative:
     its pivot is x_j * m, and no two such products share one, so they are stored with no
     elimination.  Exactly, the other products and the new generators are top-reduced one
-    by one.  Modulo a prime p, while they outnumber the zero tests needed, random
-    combinations of them are top-reduced instead, coefficients uniform in [0, p) from a
-    stream seeded by p and the degree, so a trial replays exactly.  A nonzero residual lies
-    in I_degree and is kept; the degree ends after ceil(60 / (bits of p - 1)) zero
-    residuals in a row, one for a 61-bit trial prime, or once the piece is full.  While the
+    by one.  Modulo a prime p, random combinations of them are top-reduced instead,
+    coefficients uniform in [0, p) from a stream seeded by p and the degree, so a trial
+    replays exactly.  A nonzero residual lies in I_degree and is kept; the degree ends
+    after ceil(60 / (bits of p - 1)) zero residuals in a row, one for a 61-bit trial
+    prime, or once the piece is full.  While the
     span is short of I_degree a combination falls in it with probability at most 1/p, so
     the piece misses a pivot with probability at most (k+1) * 2^-60, k = dim I_degree, and
     is never larger than the echelon of every row mod p; otherwise their pivots are equal,
@@ -244,11 +244,11 @@ def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_va
         if g.degree == degree:
             later.append({positions[e]: c for e, c in integer_row(g)[0].items()})
     prime = echelon.prime
-    tests = prime and -(-60 // (prime.bit_length() - 1))
-    if prime is None or len(later) <= tests:
+    if prime is None:
         for row in later:
             echelon.add(row)
         return
+    tests = -(-60 // (prime.bit_length() - 1))
     rng = random.Random(f"grow:{prime}:{degree}")
     zeros = 0
     while zeros < tests and len(echelon.rows) < len(positions):

@@ -226,13 +226,15 @@ def _counted(monkeypatch):
 
 
 def _per_degree(monkeypatch, counts):
-    """{degree: (piece size, RowEchelon.add calls)} of every later ideal_graded_piece call."""
+    """{degree: (piece size, RowEchelon.add calls)} of every later ideal_graded_piece call;
+    a degree read twice fails."""
     per_degree = {}
     piece = gin_module.ideal_graded_piece
 
     def recording(*args, **kwargs):
         before = counts["add"]
         result = piece(*args, **kwargs)
+        assert args[1] not in per_degree, f"degree {args[1]} read twice"
         per_degree[args[1]] = (len(result), counts["add"] - before)
         return result
 
