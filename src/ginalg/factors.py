@@ -33,6 +33,8 @@ from .subspaces import (
     MonomialSet,
     RowEchelon,
     Subspace,
+    _is_borel_closed,
+    borel_generators,
     random_form,
     random_subspace,
     restrict_subspace,
@@ -141,28 +143,20 @@ def _multiply_subspace(space: Subspace, p: Form) -> Subspace:
 
 
 def detect_gin_shape(monomials: MonomialSet) -> tuple[int, int, int] | None:
-    """Recognize {x1^m * u : u a degree-n monomial in x1..xr}, maximal m.
+    """Recognize {x1^m * u : u a degree-n monomial in x1..xr}, the Borel closure of
+    x1^m * x_r^n: a Borel-closed set whose one Borel generator is x1^m * x_r^n.
 
-    Returns (r, n, m) or None.  The power m is the minimal x1-exponent, so
-    the representation found has the largest factor degree available.
+    Returns (r, n, m) or None; the pure power x1^d gives (1, 0, d).  The power m is the
+    minimal x1-exponent, so the representation found has the largest factor degree
+    available.
     """
-    if not monomials.exps:
+    exps = monomials.exps
+    generators = borel_generators(exps) if _is_borel_closed(exps, exps.__contains__) else []
+    if len(generators) != 1:
         return None
-    degree = monomials.degree
-    m = min(e[0] for e in monomials.exps)
-    n = degree - m
-    if n == 0:
-        return (1, 0, degree)
-    residual = {(e[0] - m,) + e[1:] for e in monomials.exps}
-    r = 0
-    for u in residual:
-        for i, e in enumerate(u):
-            if e:
-                r = max(r, i + 1)
-    expected = {
-        u + (0,) * (monomials.num_vars - r) for u in monomials_of_degree(r, n)
-    }
-    return (r, n, m) if residual == expected else None
+    (g,) = generators
+    r = 1 + max((i for i, e in enumerate(g) if e), default=0)
+    return None if any(g[1 : r - 1]) else (r, monomials.degree - g[0], g[0])
 
 
 # -- the main-theorem pipeline -------------------------------------------------

@@ -2,9 +2,9 @@
 Borel-fixedness, colon by the last variable, and enumeration of the
 admissible initial-ideal candidates cut out by those constraints.
 
-The Borel-closure test is `subspaces._is_borel_closed`, shared with the
-stability check of a gin trial, so `gin` and `gin_subspace` never load this
-module; `gin_ideal_truncated` loads it for `minimalize`."""
+The Borel order (elementary exchanges, Borel generators) is in `subspaces`, shared
+with a gin trial's stability check and `factors.detect_gin_shape`, so `gin` and
+`verify` never load this module; `gin_ideal_truncated` loads it for `minimalize`."""
 
 from __future__ import annotations
 
@@ -48,14 +48,13 @@ class MonomialIdeal(Record):
 
 
 def minimalize(gens, num_vars: int) -> MonomialIdeal:
-    """Drop every monomial divisible by another; result is the minimal basis."""
-    unique = list(dict.fromkeys(tuple(e) for e in gens))
-    kept = [
-        m
-        for i, m in enumerate(unique)
-        if not any(_divides(other, m) for j, other in enumerate(unique) if j != i and other != m)
-    ]
-    return MonomialIdeal(num_vars, tuple(sorted(kept, key=_generator_key)))
+    """The minimal basis: a proper divisor has lower degree, so one pass in generator
+    order keeps each monomial that no kept one divides."""
+    kept: list[Exponent] = []
+    for m in sorted({tuple(e) for e in gens}, key=_generator_key):
+        if not any(_divides(g, m) for g in kept):
+            kept.append(m)
+    return MonomialIdeal(num_vars, tuple(kept))
 
 
 def contains_monomial(ideal: MonomialIdeal, exps: Exponent) -> bool:
@@ -76,8 +75,8 @@ def hilbert_function(ideal: MonomialIdeal, degree: int) -> int:
 
 
 def is_borel_fixed(ideal: MonomialIdeal) -> bool:
-    """Characteristic-zero criterion: every exchange (x_j/x_i)*m, j < i, stays
-    inside; checking the generators suffices."""
+    """Characteristic-zero criterion: every exchange (x_j/x_i)*m, j < i, stays inside;
+    testing the elementary ones, x_i -> x_{i-1}, on the generators suffices."""
     return _is_borel_closed(ideal.gens, partial(contains_monomial, ideal))
 
 

@@ -100,18 +100,24 @@ class MonomialSet(Record):
 
 
 def _is_borel_closed(monomials, member) -> bool:
-    """Every exchange (x_j/x_i)*m, j < i, of the given monomials satisfies member."""
+    """Every elementary exchange m*x_{i-1}/x_i of the monomials satisfies member.  Each
+    x_i -> x_j, j < i, is a chain of them, whose links a finite set tests as members; in
+    an ideal a link of g*w is (link of g)*w or g*(link of w), so generators suffice."""
     for m in monomials:
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            for j in range(i):
-                moved = list(m)
-                moved[i] -= 1
-                moved[j] += 1
-                if not member(tuple(moved)):
-                    return False
+        for i in range(1, len(m)):
+            if m[i] and not member(m[: i - 1] + (m[i - 1] + 1, m[i] - 1) + m[i + 1 :]):
+                return False
     return True
+
+
+def borel_generators(monomials) -> list[Exponent]:
+    """The Borel generators of a Borel-closed set, the members m with no m*x_{i+1}/x_i in
+    it: the set is the Borel closure of these, and of no fewer."""
+    return [
+        m
+        for m in monomials
+        if not any(m[i - 1] and m[: i - 1] + (m[i - 1] - 1, m[i] + 1) + m[i + 1 :] in monomials for i in range(1, len(m)))
+    ]
 
 
 def _cancel(row: Row, pivot_row: Row, column: Exponent) -> Row:

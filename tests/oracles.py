@@ -11,7 +11,10 @@ independently of the integer-row kernel in the package.  The
 one exception is `scratch_ideal_graded_piece`, the from-scratch ideal piece
 exactly or modulo a prime: it shares `RowEchelon` with the package, but
 eliminates every shift of the generators where the package grows each
-piece from the one below.
+piece from the one below.  The monomial references at the end enumerate where the
+package follows the Borel order: every exchange x_i -> x_j rather than the elementary
+ones, every degree-n monomial of the shape rather than its Borel generator, every
+pair of generators rather than one sorted pass; `borel_closure` walks every exchange.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ginalg import (
     random_form,
 )
 from ginalg.forms import divide_rows, form_from_row, integer_row, monomial_positions
+from ginalg.ideals import _generator_key
 from ginalg.subspaces import RowEchelon
 
 
@@ -310,3 +314,65 @@ def oracle_random_subspace(
             chosen.append(candidate)
             space = extended
     return space
+
+
+# -- monomial references ----------------------------------------------------
+
+
+def borel_closure(monomials) -> set:
+    """Every monomial reached from the given ones by exchanges x_i -> x_j, j < i."""
+    closed, frontier = set(), [tuple(m) for m in monomials]
+    while frontier:
+        m = frontier.pop()
+        if m not in closed:
+            closed.add(m)
+            frontier += [
+                m[:j] + (m[j] + 1,) + m[j + 1 : i] + (m[i] - 1,) + m[i + 1 :] for i in range(len(m)) if m[i] for j in range(i)
+            ]
+    return closed
+
+
+def all_exchanges_borel_closed(monomials, member) -> bool:
+    """Every exchange (x_j/x_i)*m, j < i, of the given monomials satisfies member."""
+    for m in monomials:
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            for j in range(i):
+                moved = list(m)
+                moved[i] -= 1
+                moved[j] += 1
+                if not member(tuple(moved)):
+                    return False
+    return True
+
+
+def enumerating_gin_shape(monomials: MonomialSet) -> tuple[int, int, int] | None:
+    """(r, n, m) when the set is {x1^m * u : u a degree-n monomial in x1..xr} with m
+    the minimal x1-exponent, found by listing every such u; else None."""
+    if not monomials.exps:
+        return None
+    degree = monomials.degree
+    m = min(e[0] for e in monomials.exps)
+    n = degree - m
+    if n == 0:
+        return (1, 0, degree)
+    residual = {(e[0] - m,) + e[1:] for e in monomials.exps}
+    r = 0
+    for u in residual:
+        for i, e in enumerate(u):
+            if e:
+                r = max(r, i + 1)
+    expected = {u + (0,) * (monomials.num_vars - r) for u in monomials_of_degree(r, n)}
+    return (r, n, m) if residual == expected else None
+
+
+def pairwise_minimal_generators(gens) -> tuple:
+    """The monomials divisible by no other one, tested pair by pair, in generator order."""
+    unique = list(dict.fromkeys(tuple(e) for e in gens))
+    kept = [
+        m
+        for i, m in enumerate(unique)
+        if not any(all(x <= y for x, y in zip(other, m)) for j, other in enumerate(unique) if j != i and other != m)
+    ]
+    return tuple(sorted(kept, key=_generator_key))

@@ -100,6 +100,10 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "bad-variable.txt").write_text("s=3\nx1^2*x2 - x3^3\nx2*x1*x1 + x2^3\nx1^2*x2 + x1*x4^2\n")
     write("quadrics.txt", "s=4", [_random_poly(rng, 4, 2) for _ in range(3)])
     write("mixed-degrees.txt", "s=4", [_random_poly(rng, 4, 2), _random_poly(rng, 4, 3), _random_poly(rng, 4, 3)])
+    write("one-quadric.txt", "s=3", [_random_poly(rng, 3, 2)])
+    write("two-quadrics.txt", "s=3", [_random_poly(rng, 3, 2) for _ in range(2)])
+    p = _random_poly(rng, 5, 1)
+    write("planted-five.txt", "s=5 d=2", [_mul(_random_poly(rng, 5, 1), p) for _ in range(5)])
 
 
 # -- calls -------------------------------------------------------------------
@@ -135,6 +139,10 @@ CASES = [
     ("verify-dense", ["verify", "{tmp}/dense.txt"], False),
     ("verify-lex", ["verify", "--order", "lex", "{tmp}/planted.txt"], False),
     ("verify-text", ["verify", "--text", "--seed", "2", "{tmp}/quadric-factor.txt"], False),
+    # gin shapes at the edges: x1^2 is (1, 0, 2); x1*(x1, x2) is r=2, not-applicable; x1*(x1..x5) is r=s=5
+    ("verify-one-quadric", ["verify", "{tmp}/one-quadric.txt"], False),
+    ("verify-two-quadrics", ["verify", "{tmp}/two-quadrics.txt"], False),
+    ("verify-planted-five", ["verify", "--seed", "3", "{tmp}/planted-five.txt"], False),
     ("make-instance-out", ["make-instance", "--vars", "4", "--r", "3", "--n", "1", "--m", "1", "--seed", "9",
                            "--out", "{tmp}/inst.txt"], False),
     ("make-instance-text", ["make-instance", "--text", "--vars", "3", "--r", "3", "--n", "2", "--m", "1"], False),
@@ -153,6 +161,8 @@ CASES = [
     ("hilbert-negative", ["hilbert", "--vars", "2", "--dmax", "-1", "x1"], False),
     ("borel", ["borel", "--vars", "3", "x1^2, x1*x2, x2^2"], False),
     ("borel-not", ["borel", "--text", "--vars", "3", "x1^2, x2^2"], False),
+    ("borel-three-degrees", ["borel", "--vars", "4", "x1^2, x1*x2, x2^3, x1*x3^2"], False),
+    ("borel-three-degrees-not", ["borel", "--vars", "4", "x1^2, x1*x2, x2^3, x1*x3^2, x1*x4"], False),
     ("colon", ["colon", "--vars", "3", "x1^2, x1*x3, x2*x3^2"], False),
     ("colon-saturated", ["colon", "--text", "--vars", "3", "x1^2, x1*x2"], False),
     ("enumerate", ["enumerate", "--vars", "3", "--dmax", "3", "--hf", "1,3,4,4"], False),

@@ -20,7 +20,16 @@ from ginalg import (
     random_form,
     verify_main_theorem,
 )
-from oracles import exact_quotient, mul, oracle_gcd, scale
+from ginalg.subspaces import _is_borel_closed, borel_generators
+from oracles import (
+    all_exchanges_borel_closed,
+    borel_closure,
+    enumerating_gin_shape,
+    exact_quotient,
+    mul,
+    oracle_gcd,
+    scale,
+)
 
 
 def F(text, s):
@@ -214,6 +223,62 @@ def test_detect_gin_shape():
     assert detect_gin_shape(mset(4, {(1, 1, 0, 0)})) is None
     assert detect_gin_shape(mset(3, {(3, 0, 0)})) == (1, 0, 3)
     assert detect_gin_shape(MonomialSet(3, 2, frozenset())) is None
+    assert detect_gin_shape(mset(3, {(0, 0, 0)})) == (1, 0, 0)
+    # Borel-closed with the two Borel generators x2^2 and x1*x3
+    two = mset(3, {(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)})
+    assert sorted(borel_generators(two.exps)) == [(0, 2, 0), (1, 0, 1)] and detect_gin_shape(two) is None
+    # one Borel generator, x1*x2*x3, but not of the form x1^m * x_r^n
+    assert detect_gin_shape(mset(3, borel_closure({(1, 1, 1)}))) is None
+
+
+def _monomial_sets(st):
+    """A hypothesis strategy: a MonomialSet with s = 1..6 and d = 0..4, drawn at random, as
+    the Borel closure of such a draw, as a planted x1^m * (x1..xr)^n, or as one with a
+    member removed."""
+
+    @st.composite
+    def monomial_sets(draw):
+        s, d = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(("random", "closure", "planted", "planted less one")))
+        if kind in ("random", "closure"):
+            exps = set(draw(st.lists(st.sampled_from(monomials_of_degree(s, d)), max_size=8)))
+            exps = borel_closure(exps) if kind == "closure" else exps
+        else:
+            r, n = draw(st.integers(1, s)), draw(st.integers(0, d))
+            exps = {(d - n + u[0],) + u[1:] + (0,) * (s - r) for u in monomials_of_degree(r, n)}
+            if kind == "planted less one":
+                exps.discard(draw(st.sampled_from(sorted(exps))))
+        return MonomialSet(s, d, frozenset(exps))
+
+    return monomial_sets()
+
+
+def test_detect_gin_shape_matches_the_enumerating_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(_monomial_sets(hypothesis.strategies))
+    def check(monomials):
+        assert detect_gin_shape(monomials) == enumerating_gin_shape(monomials)
+
+    check()
+
+
+def test_elementary_exchanges_decide_closure_and_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(_monomial_sets(hypothesis.strategies))
+    def check(monomials):
+        exps = monomials.exps
+        closed = _is_borel_closed(exps, exps.__contains__)
+        assert closed == all_exchanges_borel_closed(exps, exps.__contains__)
+        if closed:
+            generators = borel_generators(exps)
+            assert borel_closure(generators) == exps
+            assert all(g not in borel_closure(set(generators) - {g}) for g in generators)
+
+    check()
 
 
 # -- main theorem ------------------------------------------------------------------

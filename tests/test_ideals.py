@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from math import comb
 
 import pytest
@@ -11,10 +12,18 @@ from ginalg import (
     is_borel_fixed,
     is_saturated_in_last_variable,
     minimalize,
+    monomials_of_degree,
     parse_ideal,
 )
 from ginalg.demo import CI_QUOTIENT_HF, J1, J2
-from oracles import ci_three_quadrics_quotient_hf, hilbert_inclusion_exclusion
+from ginalg.subspaces import _is_borel_closed
+from oracles import (
+    all_exchanges_borel_closed,
+    borel_closure,
+    ci_three_quadrics_quotient_hf,
+    hilbert_inclusion_exclusion,
+    pairwise_minimal_generators,
+)
 
 
 def test_minimalize_examples():
@@ -36,6 +45,21 @@ def test_minimalize_idempotent_and_order_insensitive():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert minimalize(shuffled, 3) == ideal
+
+
+def test_minimalize_matches_the_pairwise_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        s = data.draw(st.integers(1, 5))
+        pool = [m for d in range(5) for m in monomials_of_degree(s, d)]
+        gens = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        assert minimalize(gens, s).gens == pairwise_minimal_generators(gens)
+
+    check()
 
 
 def test_canonical_generator_order():
@@ -73,6 +97,27 @@ def test_is_borel_fixed():
     assert is_borel_fixed(J2)
     assert not is_borel_fixed(parse_ideal("x2^2", 2))
     assert is_borel_fixed(minimalize([], 3))
+
+
+def test_borel_fixed_ideals_match_the_all_exchanges_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        s = data.draw(st.integers(1, 5))
+        pool = [m for d in range(1, 5) for m in monomials_of_degree(s, d)]
+        gens = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        # the ideal of a Borel-closed set is Borel-fixed; one generator less may not be
+        ideal = minimalize(borel_closure(gens) if data.draw(st.booleans()) else gens, s)
+        if ideal.gens and data.draw(st.booleans()):
+            ideal = minimalize(set(ideal.gens) - {data.draw(st.sampled_from(ideal.gens))}, s)
+        member = partial(contains_monomial, ideal)
+        expected = all_exchanges_borel_closed(ideal.gens, member)
+        assert _is_borel_closed(ideal.gens, member) == expected == is_borel_fixed(ideal)
+
+    check()
 
 
 def test_colon_by_last_variable():
