@@ -15,7 +15,6 @@ _EXPORTS = {
         "LEX",
         "MIXED",
         "REVLEX",
-        "CoordinateChange",
         "Form",
         "InvariantError",
         "ParseError",
@@ -32,12 +31,15 @@ _EXPORTS = {
         "sort_monomials",
     ),
     "subspaces": (
+        "CoordinateChange",
+        "MonomialIdeal",
         "MonomialSet",
         "Subspace",
         "contains",
         "echelonize",
         "initial_after_change",
         "initial_subspace",
+        "minimalize",
         "random_form",
         "random_subspace",
         "restrict_subspace",
@@ -65,14 +67,12 @@ _EXPORTS = {
         "verify_main_theorem",
     ),
     "ideals": (
-        "MonomialIdeal",
         "colon_by_last_variable",
         "contains_monomial",
         "enumerate_gin_candidates",
         "hilbert_function",
         "is_borel_fixed",
         "is_saturated_in_last_variable",
-        "minimalize",
         "parse_ideal",
     ),
     "demo": ("J1", "J2", "ci_quadrics_demo", "search_j2_revlex_witness"),

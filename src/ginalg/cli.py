@@ -36,7 +36,7 @@ from .forms import (
     parse_form,
     parse_terms,
 )
-from .subspaces import MonomialSet, RowEchelon, Subspace, restrict_subspace
+from .subspaces import DEFAULT_BOUND, DEFAULT_TRIALS, MonomialSet, RowEchelon, Subspace, restrict_subspace
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -467,7 +467,6 @@ def build_parser(argv=()) -> CliParser:
             p.add_argument("--vars", type=_at_least(0), default=None, help="number of variables s")
             p.add_argument("--order", default=None, help="revlex | lex | mixed")
         if rand:
-            from .gin import DEFAULT_BOUND, DEFAULT_TRIALS
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
             p.add_argument("--bound", type=int, default=DEFAULT_BOUND)

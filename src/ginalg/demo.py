@@ -11,14 +11,8 @@ from itertools import product
 
 from .forms import MIXED, REVLEX, Form, Record, format_form
 from .gin import gin_ideal_truncated, ideal_graded_piece, initial_ideal_truncated
-from .ideals import (
-    MonomialIdeal,
-    enumerate_gin_candidates,
-    ideal_monomials_of_degree,
-    minimalize,
-    parse_ideal,
-)
-from .subspaces import RowEchelon, random_form
+from .ideals import enumerate_gin_candidates, ideal_monomials_of_degree, parse_ideal
+from .subspaces import MonomialIdeal, RowEchelon, minimalize, random_form
 
 NUM_VARS = 4
 DMAX = 4

@@ -28,8 +28,9 @@ from .forms import (
     normalize_form,
     primitive,
 )
-from .gin import DEFAULT_BOUND, DEFAULT_TRIALS, gin_subspace
 from .subspaces import (
+    DEFAULT_BOUND,
+    DEFAULT_TRIALS,
     MonomialSet,
     RowEchelon,
     Subspace,
@@ -215,6 +216,8 @@ def verify_main_theorem(
     below m would contradict the statement being exercised and is reported
     loudly with all intermediate data, never swallowed.
     """
+    from .gin import gin_subspace  # the only gin drawn in this module: gcd, factor, make-instance, probe skip it
+
     if space.order != REVLEX:
         raise ValueError("the main theorem is stated for the revlex order")
     report = gin_subspace(space.rows.values(), space.num_vars, space.degree, space.order, trials, seed, bound)

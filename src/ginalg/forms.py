@@ -9,7 +9,9 @@ function of its inputs.
 Coordinate changes and restrictions run on primitive integer rows (see
 `sym_power`): the substitution is scaled to integers, every monomial's
 image is built once per call, and Fractions appear only in the Form
-returned.  Exact division (the GCD in `factors`) runs on the same rows,
+returned.  The `CoordinateChange` class is in `subspaces`, since its
+singularity test is an elimination: this module imports no other of the
+package.  Exact division (the GCD in `factors`) runs on the same rows,
 through `multiply_rows` and `divide_rows` in Z[x].
 
 Text has one parser, `parse_terms`, giving a form's degree and terms:
@@ -198,33 +200,6 @@ def initial_monomial(f: Form, order: str) -> Exponent:
     return max(f.terms, key=lambda e: monomial_key(order, e))
 
 
-class CoordinateChange(Record):
-    """An invertible linear substitution x_i -> sum_j M[i][j] * x_j.  `images` is it scaled
-    to integers by the common denominator D of the entries, so a degree-d image is D^d times
-    the true one."""
-
-    __slots__ = ("num_vars", "matrix", "images", "denominator")
-
-    def __init__(self, rows: Iterable[Iterable]):
-        from .subspaces import RowEchelon  # subspaces imports this module
-
-        matrix = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
-        s = len(matrix)
-        if s == 0 or any(len(row) != s for row in matrix):
-            raise ValueError("coordinate change matrix must be square and nonempty")
-        denominator = math.lcm(*(v.denominator for row in matrix for v in row))
-        images = tuple(
-            tuple((j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v) for row in matrix
-        )
-        # keyed so a row's pivot is its last nonzero column: a lower triangular matrix is already echelon
-        if len(RowEchelon(None, [{s - 1 - j: c for j, c in image} for image in images]).rows) < s:
-            raise ValueError("singular coordinate change matrix")
-        super().__init__(s, matrix, images, denominator)
-
-    def __repr__(self) -> str:
-        return f"CoordinateChange({[[str(v) for v in row] for row in self.matrix]})"
-
-
 # -- integer rows -------------------------------------------------------------
 #
 # The graded-piece kernel works on rows: dicts from exponent vector to int.
@@ -366,8 +341,9 @@ def sym_power(rows: list[Row], images: LinearImages, num_vars_out: int) -> list[
     return out
 
 
-def apply_change(f: Form, change: CoordinateChange) -> Form:
-    """Substitute x_i -> sum_j M[i][j] x_j and expand."""
+def apply_change(f: Form, change) -> Form:
+    """Substitute x_i -> sum_j M[i][j] x_j and expand, for a `subspaces.CoordinateChange`
+    or anything with its `images` and `denominator`."""
     if f.num_vars != change.num_vars:
         raise ValueError("form and coordinate change over different variable counts")
     row, scale = integer_row(f)

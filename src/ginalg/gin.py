@@ -47,21 +47,19 @@ from functools import cache
 from math import comb
 from typing import Collection
 
-from .forms import (
-    REVLEX,
+from .forms import REVLEX, Form, Record, Row, apply_change, integer_row, monomial_key, monomial_positions
+from .subspaces import (
+    DEFAULT_BOUND,
+    DEFAULT_TRIALS,
     CoordinateChange,
-    Form,
-    Record,
-    Row,
-    apply_change,
-    integer_row,
-    monomial_key,
-    monomial_positions,
+    MonomialSet,
+    RowEchelon,
+    _is_borel_closed,
+    _position_tables,
+    _scan_after_change,
+    _weighted_rows,
+    minimalize,
 )
-from .subspaces import MonomialSet, RowEchelon, _is_borel_closed, _position_tables, _scan_after_change, _weighted_rows
-
-DEFAULT_TRIALS = 3
-DEFAULT_BOUND = 100
 
 TRUNCATION_NOTE = "generators above dmax are not detected"
 
@@ -346,8 +344,6 @@ def gin_ideal_truncated(
     trial; the transformed generators span the same graded pieces as the
     transformed ideal, so the change is applied to the generators once.
     """
-    from .ideals import minimalize
-
     seeds = _trial_seeds(seed, trials)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:

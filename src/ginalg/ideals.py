@@ -1,10 +1,12 @@
-"""Monomial-ideal combinatorics: minimal generators, Hilbert functions,
-Borel-fixedness, colon by the last variable, and enumeration of the
-admissible initial-ideal candidates cut out by those constraints.
+"""Monomial-ideal combinatorics: Hilbert functions, Borel-fixedness, colon by
+the last variable, and enumeration of the admissible initial-ideal candidates
+cut out by those constraints.
 
-The Borel order (elementary exchanges, Borel generators) is in `subspaces`, shared
-with a gin trial's stability check and `factors.detect_gin_shape`, so `gin` and
-`verify` never load this module; `gin_ideal_truncated` loads it for `minimalize`."""
+`MonomialIdeal`, its minimal generators (`minimalize`) and the Borel order
+(elementary exchanges, Borel generators) are in `subspaces`, shared with
+`gin_ideal_truncated`, a gin trial's stability check and
+`factors.detect_gin_shape`, so only the ideal commands and the demo load
+this module."""
 
 from __future__ import annotations
 
@@ -12,49 +14,8 @@ from functools import partial
 from itertools import combinations
 from math import comb
 
-from .forms import (
-    REVLEX,
-    Exponent,
-    InvariantError,
-    Record,
-    format_monomial,
-    monomial_key,
-    monomials_of_degree,
-    parse_form,
-)
-from .subspaces import _is_borel_closed
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _generator_key(e: Exponent) -> tuple:
-    """Ascending degree, then descending revlex within a degree: the order generators are
-    stored in, and compared in when candidate ideals are sorted."""
-    return sum(e), tuple(-k for k in monomial_key(REVLEX, e))
-
-
-class MonomialIdeal(Record):
-    """Finite minimal generator set; construct through minimalize()."""
-
-    __slots__ = ("num_vars", "gens")
-
-    def strings(self) -> list[str]:
-        return [format_monomial(e) for e in self.gens]
-
-    def __str__(self) -> str:
-        return ", ".join(self.strings()) if self.gens else "0"
-
-
-def minimalize(gens, num_vars: int) -> MonomialIdeal:
-    """The minimal basis: a proper divisor has lower degree, so one pass in generator
-    order keeps each monomial that no kept one divides."""
-    kept: list[Exponent] = []
-    for m in sorted({tuple(e) for e in gens}, key=_generator_key):
-        if not any(_divides(g, m) for g in kept):
-            kept.append(m)
-    return MonomialIdeal(num_vars, tuple(kept))
+from .forms import Exponent, InvariantError, monomials_of_degree, parse_form
+from .subspaces import MonomialIdeal, _divides, _generator_key, _is_borel_closed, minimalize
 
 
 def contains_monomial(ideal: MonomialIdeal, exps: Exponent) -> bool:

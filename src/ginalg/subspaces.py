@@ -16,6 +16,10 @@ are independent over Q, so the pivots mod p are never larger than the exact
 ones (the count of pivots among the first k monomials is a rank, and a rank
 mod p is at most the rank over Q); they are equal unless p divides one fixed
 nonzero k x k minor, k the rank.
+
+Below `ideals` and `gin`, which import only this module and `forms`, it also holds what
+they share: `CoordinateChange`, whose singularity test is an elimination, the Borel
+order, and `MonomialIdeal` with `minimalize`.
 """
 
 from __future__ import annotations
@@ -23,17 +27,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable
 
 from .forms import (
     REVLEX,
-    CoordinateChange,
     Exponent,
     Form,
     Record,
     Row,
+    _as_fraction,
     form_from_row,
     format_monomial,
     integer_row,
@@ -97,6 +101,38 @@ class MonomialSet(Record):
         """Delete monomials divisible by the last variable, keep the rest verbatim."""
         kept = frozenset(e[:-1] for e in self.exps if e[-1] == 0)
         return MonomialSet(self.num_vars - 1, self.degree, kept)
+
+
+def _divides(a: Exponent, b: Exponent) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _generator_key(e: Exponent) -> tuple:
+    """Ascending degree, then descending revlex within a degree: the order generators are
+    stored in, and compared in when candidate ideals are sorted."""
+    return sum(e), tuple(-k for k in monomial_key(REVLEX, e))
+
+
+class MonomialIdeal(Record):
+    """Finite minimal generator set; construct through minimalize()."""
+
+    __slots__ = ("num_vars", "gens")
+
+    def strings(self) -> list[str]:
+        return [format_monomial(e) for e in self.gens]
+
+    def __str__(self) -> str:
+        return ", ".join(self.strings()) if self.gens else "0"
+
+
+def minimalize(gens, num_vars: int) -> MonomialIdeal:
+    """The minimal basis: a proper divisor has lower degree, so one pass in generator
+    order keeps each monomial that no kept one divides."""
+    kept: list[Exponent] = []
+    for m in sorted({tuple(e) for e in gens}, key=_generator_key):
+        if not any(_divides(g, m) for g in kept):
+            kept.append(m)
+    return MonomialIdeal(num_vars, tuple(kept))
 
 
 def _is_borel_closed(monomials, member) -> bool:
@@ -193,8 +229,9 @@ class RowEchelon:
     def add(self, row: Row) -> bool:
         """Extend the span by row; False when row already lies in it."""
         prime = self.prime
+        # an explicit zero entry is no entry, or it could be taken for the pivot
         if prime is None:
-            row, _ = primitive(row)
+            row, _ = primitive({e: c for e, c in row.items() if c})
         else:
             row = {e: v for e, c in row.items() if (v := c % prime)}
         while row:
@@ -217,6 +254,36 @@ class RowEchelon:
             else:
                 _cancel_mod(row, pivot_row, pivot, prime)
         return False
+
+
+# a gin's trials and the bound on a random change's entries, unless a caller gives its own
+DEFAULT_TRIALS = 3
+DEFAULT_BOUND = 100
+
+
+class CoordinateChange(Record):
+    """An invertible linear substitution x_i -> sum_j M[i][j] * x_j.  `images` is it scaled
+    to integers by the common denominator D of the entries, so a degree-d image is D^d times
+    the true one."""
+
+    __slots__ = ("num_vars", "matrix", "images", "denominator")
+
+    def __init__(self, rows: Iterable[Iterable]):
+        matrix = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
+        s = len(matrix)
+        if s == 0 or any(len(row) != s for row in matrix):
+            raise ValueError("coordinate change matrix must be square and nonempty")
+        denominator = lcm(*(v.denominator for row in matrix for v in row))
+        images = tuple(
+            tuple((j, v.numerator * (denominator // v.denominator)) for j, v in enumerate(row) if v) for row in matrix
+        )
+        # keyed so a row's pivot is its last nonzero column: a lower triangular matrix is already echelon
+        if len(RowEchelon(None, [{s - 1 - j: c for j, c in image} for image in images]).rows) < s:
+            raise ValueError("singular coordinate change matrix")
+        super().__init__(s, matrix, images, denominator)
+
+    def __repr__(self) -> str:
+        return f"CoordinateChange({[[str(v) for v in row] for row in self.matrix]})"
 
 
 def echelonize(

@@ -38,8 +38,7 @@ from ginalg import (
     random_form,
 )
 from ginalg.forms import divide_rows, form_from_row, integer_row, monomial_positions
-from ginalg.ideals import _generator_key
-from ginalg.subspaces import RowEchelon
+from ginalg.subspaces import RowEchelon, _generator_key
 
 
 def spanning_args(space: Subspace) -> tuple:

@@ -120,6 +120,65 @@ def test_importing_the_package_loads_no_submodule():
     assert _modules_loaded_by("import ginalg") == {"ginalg"}
 
 
+# the package modules each module imports at module level (`__init__` resolves its exports
+# by name, on first access); every import, at module or function level, runs down this order
+MODULE_IMPORTS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "forms": set(),
+    "subspaces": {"forms"},
+    "ideals": {"forms", "subspaces"},
+    "gin": {"forms", "subspaces"},
+    "factors": {"forms", "subspaces"},
+    "demo": {"forms", "subspaces", "gin", "ideals"},
+    "cli": {"forms", "subspaces"},
+}
+LAYER_ORDER = ("forms", "subspaces", "ideals", "gin", "factors", "demo", "cli", "__main__")
+
+
+def _package_imports(tree: ast.AST, function: str | None = None):
+    """(enclosing top-level function or None, imported package module) for each import of
+    a ginalg module under tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _package_imports(node, function or node.name)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            for name in [node.module] if node.module else [alias.name for alias in node.names]:
+                yield function, name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module]
+            for name in modules:
+                if name.partition(".")[0] == "ginalg":
+                    yield function, name.partition(".")[2] or "__init__"
+        else:
+            yield from _package_imports(node, function)
+
+
+def test_package_imports_run_one_way():
+    """No import cycle, and each module loads only the layers below it; a function imports a
+    package module only in a CLI handler, which loads its own subcommand, and in
+    `verify_main_theorem`, the one function of `factors` that draws a gin."""
+    module_level, in_functions = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        module_level[path.stem] = set()
+        for function, target in _package_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if function is None:
+                module_level[path.stem].add(target)
+            else:
+                in_functions.append((path.stem, function, target))
+    assert module_level == MODULE_IMPORTS
+    stray = [
+        f"{m}.{f}"
+        for m, f, _ in in_functions
+        if not (m == "cli" and f.startswith("cmd_") or (m, f) == ("factors", "verify_main_theorem"))
+    ]
+    assert stray == []
+    rank = {module: i for i, module in enumerate(LAYER_ORDER)}
+    edges = [(m, t) for m, targets in module_level.items() for t in targets] + [(m, t) for m, _, t in in_functions]
+    assert [f"{m} -> {t}" for m, t in edges if rank[t] >= rank[m]] == []
+    assert ("factors", "verify_main_theorem", "gin") in in_functions
+
+
 CLI_CORE = {"ginalg", "ginalg.cli", "ginalg.forms", "ginalg.subspaces"}
 SUBSPACE_FILE = "s=3 d=3 order=revlex\nx1^3+x1^2*x2\nx1*x2^2+x2^3\nx1^2*x3+x1*x2*x3\n"
 
@@ -128,13 +187,13 @@ SUBSPACE_FILE = "s=3 d=3 order=revlex\nx1^3+x1^2*x2\nx1*x2^2+x2^3\nx1^2*x3+x1*x2
 SUBCOMMAND_CALLS = {
     "gin": (["V.txt"], {"ginalg.gin"}),
     "in": (["V.txt"], set()),
-    "gin-ideal": (["--dmax", "4", "V.txt"], {"ginalg.gin", "ginalg.ideals"}),
+    "gin-ideal": (["--dmax", "4", "V.txt"], {"ginalg.gin"}),
     "restrict": (["--hyperplane", "x3", "V.txt"], set()),
-    "factor": (["V.txt"], {"ginalg.gin", "ginalg.factors"}),
-    "make-instance": (["--vars", "4", "--r", "3", "--n", "1", "--m", "1"], {"ginalg.gin", "ginalg.factors"}),
+    "factor": (["V.txt"], {"ginalg.factors"}),
+    "make-instance": (["--vars", "4", "--r", "3", "--n", "1", "--m", "1"], {"ginalg.factors"}),
     "verify": (["V.txt"], {"ginalg.gin", "ginalg.factors"}),
-    "probe": (["V.txt"], {"ginalg.gin", "ginalg.factors"}),
-    "gcd": (["--vars", "2", "x1^2-x2^2", "x1+x2"], {"ginalg.gin", "ginalg.factors"}),
+    "probe": (["V.txt"], {"ginalg.factors"}),
+    "gcd": (["--vars", "2", "x1^2-x2^2", "x1+x2"], {"ginalg.factors"}),
     "hilbert": (["--vars", "3", "--dmax", "3", "x1^2, x1*x2"], {"ginalg.ideals"}),
     "borel": (["--vars", "3", "x1^2, x1*x2"], {"ginalg.ideals"}),
     "colon": (["--vars", "3", "x1^2, x1*x3"], {"ginalg.ideals"}),

@@ -19,6 +19,8 @@ from ginalg import (
     restrict_subspace,
     transform_subspace,
 )
+from ginalg.forms import ORDER_NAMES
+from ginalg.subspaces import RowEchelon
 from oracles import scale
 
 
@@ -78,6 +80,27 @@ def test_subspace_rows_in_any_pivot_order():
         spanned = Subspace(3, 1, REVLEX, rows)
         assert spanned.rows == reference.rows and list(spanned.rows) == list(reference.rows)
         assert spanned == reference and hash(spanned) == hash(reference)
+
+
+def test_explicit_zero_entries_are_no_entries():
+    """A row's explicit 0 is never its pivot: rows with zeros eliminate to the same echelon
+    rows, pivots and Subspace as the rows without them, exactly, under every order."""
+    example = Subspace(2, 1, REVLEX, [{(1, 0): 0, (0, 1): 1}, {(0, 1): 2}])
+    assert example.dim == 1 and example.basis == (F("x2", 2),)
+    rng = random.Random(5)
+    for order in ORDER_NAMES:
+        for _ in range(40):
+            s, d = rng.randint(1, 3), rng.randint(1, 3)
+            monomials = monomials_of_degree(s, d)
+            rows = [
+                {e: rng.randint(-2, 2) for e in rng.sample(monomials, rng.randint(0, len(monomials)))}
+                for _ in range(rng.randint(1, 4))
+            ]
+            cleaned = [{e: c for e, c in row.items() if c} for row in rows]
+            assert RowEchelon(order, rows).rows == RowEchelon(order, cleaned).rows
+            spanned, reference = Subspace(s, d, order, rows), Subspace(s, d, order, cleaned)
+            assert spanned == reference and spanned.leading_monomials() == reference.leading_monomials()
+            assert spanned.basis == reference.basis
 
 
 def test_initial_subspace():
