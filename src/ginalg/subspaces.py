@@ -389,6 +389,22 @@ def _scan_after_change(
     column it takes the rank of the rows (modulo the prime, if any), which bounds the
     number of pivots, and stops at that count instead.  T_m is a list over the positions
     of degree d, built on first use from T_{m/x_j}, x_j the first variable of m.
+
+    The rows are packed across once: at each position of the union of their supports, one
+    integer whose slot r, `width` bytes wide, holds row r's entry there.  So a column is
+    one dot product of the packed integers with T_m, and slot r of the sum is row r's entry
+    of the column.  With half = 2^(8 width - 1) added to every slot, the entries are read
+    from the bytes of the sum: a slot holds any v with |v| < half, since a negative slot
+    borrows from the next one and the added half pays it back.  An entry is at most
+    |support| * max|entry| * max|T_m| < 2^(bits(|support|) + entry bits + image bits) in
+    absolute value, so width is the least number of bytes with
+    8 width >= entry bits + image bits + bits(|support|) + 1 sign bit.
+    Modulo the prime each T_m is reduced, so image bits are bits(p).  Exactly, T_m is a
+    product of d columns of the transposed change, and the l1 norm of a product is at most
+    the product of the factors' l1 norms, so its coefficients are at most
+    L^d <= 2^(d * bits(L)), L the largest l1 norm of a column: image bits are d * bits(L).
+    The rows' entries are packed unreduced, since RowEchelon reduces each column modulo
+    the prime on entry.  A zero sum is a zero column, which is dependent.
     """
     if num_vars != change.num_vars:
         raise ValueError("rows and coordinate change over different variable counts")
@@ -396,7 +412,20 @@ def _scan_after_change(
         return MonomialSet(num_vars, degree, frozenset())
     positions = monomial_positions(order, num_vars, degree)
     transposed = [[(i, c) for i, image in enumerate(change.images) for k, c in image if k == j] for j in range(num_vars)]
-    scaled = weighted if prime is None else [(at, [c % prime for c in entries]) for at, entries in weighted]
+    # the packed integers, keyed by the positions of the union of the rows' supports
+    packed = dict.fromkeys((i for at, _ in weighted for i in at), 0)
+    entry_bits = max(max(map(abs, entries)) for _, entries in weighted).bit_length()
+    if prime is None:
+        image_bits = degree * max(sum(abs(c) for _, c in column) for column in transposed).bit_length()
+    else:
+        image_bits = prime.bit_length()
+    width = (entry_bits + image_bits + len(packed).bit_length() + 8) // 8
+    half, nbytes = 1 << (8 * width - 1), width * len(weighted)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(weighted), "little")
+    for r, (at, entries) in enumerate(weighted):
+        shift = 8 * width * r
+        for i, c in zip(at, entries):
+            packed[i] += c << shift
     # images[k][i]: T of the monomial at position i of degree k, None until built
     images = [[[1]]] + [[None] * len(monomial_positions(order, num_vars, k)) for k in range(1, degree + 1)]
 
@@ -423,14 +452,18 @@ def _scan_after_change(
     pivots: list[Exponent] = []
     rank = None
     for m, i in positions.items():
-        image = image_of(degree, i)
-        dots = (sum(map(mul, entries, map(image.__getitem__, places))) for places, entries in scaled)
-        if columns.add({r: entry for r, entry in enumerate(dots) if entry}):
+        total = sum(map(mul, packed.values(), map(image_of(degree, i).__getitem__, packed)))
+        column = {}
+        if total:
+            data = (total + bias).to_bytes(nbytes, "little")
+            slots = (int.from_bytes(data[at : at + width], "little") - half for at in range(0, nbytes, width))
+            column = {r: entry for r, entry in enumerate(slots) if entry}
+        if columns.add(column):
             pivots.append(m)
         elif rank is None:
             # a dependent column: the rows may be dependent too, and their rank bounds the pivots
-            rank = len(RowEchelon(None, (dict(zip(*row)) for row in scaled), prime).rows)
-        if len(pivots) == (len(scaled) if rank is None else rank):
+            rank = len(RowEchelon(None, (dict(zip(*row)) for row in weighted), prime).rows)
+        if len(pivots) == (len(weighted) if rank is None else rank):
             break
     return MonomialSet(num_vars, degree, frozenset(pivots))
 

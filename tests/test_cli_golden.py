@@ -104,6 +104,8 @@ def _write_inputs(tmp: Path) -> None:
     write("two-quadrics.txt", "s=3", [_random_poly(rng, 3, 2) for _ in range(2)])
     p = _random_poly(rng, 5, 1)
     write("planted-five.txt", "s=5 d=2", [_mul(_random_poly(rng, 5, 1), p) for _ in range(5)])
+    write("dense-quintics.txt", "s=6 d=5", [_random_poly(rng, 6, 5) for _ in range(60)])
+    write("big-coefficients.txt", "s=4 d=3", [_random_poly(rng, 4, 3, bound=10**60) for _ in range(6)])
 
 
 # -- calls -------------------------------------------------------------------
@@ -118,6 +120,10 @@ CASES = [
     *[(f"gin-cubic-{o}", ["gin", "--order", o, "--seed", "3", "{tmp}/cubic.txt"], False) for o in ORDERS],
     ("gin-dependent", ["gin", "--seed", "4", "{tmp}/dependent.txt"], False),
     ("gin-text", ["gin", "--text", "--trials", "2", "{tmp}/dense.txt"], False),
+    # 60 rows in s=6, d=5, and 60-digit entries of both signs: wide packed columns
+    ("gin-dense-quintics", ["gin", "--seed", "6", "{tmp}/dense-quintics.txt"], False),
+    ("gin-big-coefficients", ["gin", "--seed", "8", "{tmp}/big-coefficients.txt"], False),
+    ("gin-lex-wide-bound", ["gin", "--order", "lex", "--bound", "1000000", "{tmp}/cubic.txt"], False),
     *[(f"gin-ideal-{o}", ["gin-ideal", "--order", o, "--dmax", "4", "--seed", "1", "{tmp}/gens.txt"], False)
       for o in ORDERS],
     ("gin-ideal-text", ["gin-ideal", "--text", "--dmax", "3", "{tmp}/gens.txt"], False),

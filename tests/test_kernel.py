@@ -17,7 +17,7 @@ trials among them, never run it.
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -25,6 +25,7 @@ from ginalg import (
     CoordinateChange,
     apply_change,
     Form,
+    Subspace,
     contains,
     echelonize,
     gin_subspace,
@@ -44,7 +45,7 @@ from ginalg import cli
 from ginalg import forms as forms_module
 from ginalg import gin as gin_module
 from ginalg import subspaces
-from ginalg.forms import ORDER_NAMES, REVLEX, format_form, integer_row
+from ginalg.forms import ORDER_NAMES, REVLEX, format_form, integer_row, sort_monomials
 from ginalg.gin import random_prime
 from oracles import (
     add,
@@ -294,6 +295,78 @@ def test_scan_of_spanning_rows_equals_scan_of_echelon_rows():
         assert modular == expected
 
     check()
+
+
+def _column_pivots_oracle(rows, s, d, order, change, prime):
+    """The greedy column basis of the moved rows, in this function's own arithmetic.  The
+    scan works on column m of the moved rows times m! * D^d, D the change's denominator,
+    an integer column; with a prime it reduces that column modulo it, and a factor that
+    vanishes there empties the column.  Without one the scale moves no pivot, so this is
+    `_after_change_oracle`."""
+    moved = [oracle_apply_change(Form(s, d, row), change) for row in rows]
+    denominators = change.denominator**d
+    basis: dict[int, list] = {}
+    pivots = []
+    for m in sort_monomials(order, monomials_of_degree(s, d)):
+        factor = denominators * prod(map(factorial, m))
+        column = [f.terms.get(m, 0) * factor for f in moved]
+        if prime is not None:
+            column = [int(v) % prime for v in column]
+        for r, vector in basis.items():
+            if column[r]:
+                a = column[r] * (pow(vector[r], -1, prime) if prime else 1 / Fraction(vector[r]))
+                column = [c - a * v for c, v in zip(column, vector)]
+                if prime is not None:
+                    column = [c % prime for c in column]
+        lead = next((r for r, c in enumerate(column) if c), None)
+        if lead is not None:
+            basis[lead] = column
+            pivots.append(m)
+    return frozenset(pivots)
+
+
+def test_packed_column_scan_matches_the_column_oracle():
+    """Entries of both signs up to 2^200, explicit zeros, zero and dependent rows,
+    non-triangular changes with negative and fractional entries (whose l1 norms set the
+    exact slot width), and primes 2, 3, 5 and a 61-bit one: the scan's pivots are the
+    oracle's.  The draws are checked to have reached d=0, s=1 and every kind of prime."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(s=st.integers(1, 4), data=st.data())
+    def check(s, data):
+        # a high degree in few variables: exact images with coefficients near L^d
+        d = data.draw(st.integers(0, 8 if s <= 2 else 3))
+        order = data.draw(st.sampled_from(ORDER_NAMES))
+        monomials = monomials_of_degree(s, d)
+        entry = st.integers(-(2**200), 2**200)
+        rows = data.draw(st.lists(st.dictionaries(st.sampled_from(monomials), entry), min_size=1, max_size=6))
+        if len(rows) > 1 and data.draw(st.booleans()):
+            a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+            rows.append({e: a * rows[0].get(e, 0) + b * rows[1].get(e, 0) for e in monomials})
+        entries = st.fractions(min_value=-50, max_value=50, max_denominator=6)
+        matrix = data.draw(st.lists(st.lists(entries, min_size=s, max_size=s), min_size=s, max_size=s))
+        try:
+            change = CoordinateChange(matrix)
+        except ValueError:
+            hypothesis.assume(False)
+        prime = data.draw(st.sampled_from([None, 2, 3, 5, random_prime(data.draw(st.integers(0, 99)))]))
+        got = initial_after_change(rows, s, d, order, change, prime)
+        assert got.exps == _column_pivots_oracle(rows, s, d, order, change, prime)
+        if prime is None:
+            assert got == _after_change_oracle(Subspace(s, d, order, rows), change)
+        seen.update({f"s={s}", f"d={d}", "61 bits" if prime and prime > 5 else prime})
+
+    check()
+    assert {"s=1", "d=0", None, 2, 3, 5, "61 bits"} <= seen
+    # every entry of this change is 7, but its first column has l1 norm 14, and an image of
+    # degree 4 has coefficients up to 6 * 7^4: a slot width set by 7^4 is too narrow
+    change = CoordinateChange([[7, 0], [7, 7]])
+    rows = [{(2, 2): 255}]
+    expected = _column_pivots_oracle(rows, 2, 4, REVLEX, change, None)
+    assert initial_after_change(rows, 2, 4, REVLEX, change).exps == expected == {(4, 0)}
 
 
 @pytest.mark.parametrize("order,s", CASES)

@@ -7,6 +7,7 @@ slip only makes a trial smaller.  The prime is drawn by rejection sampling
 and checked by deterministic Miller-Rabin.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -106,20 +107,43 @@ def test_miller_rabin_matches_sympy():
         assert is_prime(n) == sympy.isprime(n)
 
     check()
+    # 2000 of the candidates a trial prime is drawn from, all below psi_9, where the test uses 9 bases
+    rng = random.Random(61)
+    candidates = [rng.randrange(2**60 + 1, 2**61, 2) for _ in range(2000)]
+    assert [is_prime(n) for n in candidates] == [sympy.isprime(n) for n in candidates]
+
+
+# psi_t, the least strong pseudoprime to the first t prime bases, t = 1..9 (Jaeschke 1993)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 341550071728321,
+        3825123056546413051)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _strong_probable_prime(n, a):
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd, twos = odd >> 1, twos + 1
+    x = pow(a, odd, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, twos))
 
 
 def test_miller_rabin_rejects_strong_pseudoprimes():
-    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base through 23
-    for n in (3215031751, 3825123056546413051):
-        assert not is_prime(n)
+    # psi_t passes the first t bases, and the test rejects it: psi_9 is the first number
+    # the test puts to all 12 bases
+    for t, psi in enumerate(_PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in _BASES[:t])
+        assert not is_prime(psi)
     assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) ** 2)
     with pytest.raises(ValueError):
         is_prime(PRIME_TEST_LIMIT)
 
 
 def test_random_prime_contract():
-    primes = [random_prime(seed) for seed in range(40)]
-    assert primes == [random_prime(seed) for seed in range(40)]
+    primes = [random_prime(seed) for seed in range(100)]
+    assert primes == [random_prime(seed) for seed in range(100)]
+    # the draws of seeds 0-99, pinned as the sha256 of their decimal list
+    digest = hashlib.sha256(",".join(map(str, primes)).encode()).hexdigest()
+    assert digest == "cc63eea51b8c953df48dba3aee9a37d205a04c9d5504cd4c1188e75b7eabbb3f"
     assert all(2**60 <= p < 2**61 and is_prime(p) for p in primes)
     assert len(set(primes)) == len(primes)
     # the prime has a stream of its own: drawing it leaves the coordinate change as it was
