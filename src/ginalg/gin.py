@@ -16,14 +16,15 @@ of gV in descending order, each from the transposed change through
 A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g): every transposed
 monomial image is a list mod p over the positions of its degree, built
 from one a degree lower through cached position tables.  The rows are packed
-across into one big integer per position, slot r holding row r's entry, so
-each column is one dot product of those integers with the image, whose
-slots are row r's entries of the column.  The scan stops at the dim V-th
-independent column.  A trial of an ideal grows each degree's
-piece from the one below (`ideal_graded_piece`): x_j times the echelon rows
-of I_{d-1} and the moved generators of degree d span I_d, and the Pommaret
-multiplicative products among them are stored with no elimination.  The
-others are not reduced one by one: random combinations of them are, until
+across once per `gin` call, into one big integer per position, slot r
+holding row r's entry (`subspaces._scan_after_changes`, which takes all the
+trials' changes and primes at once), so each column is one dot product of
+those integers with the image, whose slots are row r's entries of the
+column.  The scan stops at the dim V-th independent column.  A trial of an
+ideal grows each degree's piece from the one below (`ideal_graded_piece`):
+x_j times the echelon rows of I_{d-1} and the moved generators of degree d
+span I_d, and the Pommaret multiplicative products among them are stored
+with no elimination.  The others are not reduced one by one: random combinations of them are, until
 enough in a row reduce to zero (`_grow`).  Past the regularity that is one
 reduction per degree for a trial's prime, not one per product.
 
@@ -59,20 +60,16 @@ from .subspaces import (
     RowEchelon,
     _is_borel_closed,
     _position_tables,
-    _scan_after_change,
-    _weighted_rows,
+    _scan_after_changes,
     minimalize,
 )
 
 TRUNCATION_NOTE = "generators above dmax are not detected"
 
-# the first 12 primes; as Miller-Rabin bases they decide primality exactly below
-# PRIME_TEST_LIMIT, the least strong pseudoprime to all of them (Sorenson-Webster 2015),
-# and the first 9 already do below _PSI_9, the least one to those 9 (Jaeschke 1993),
-# which exceeds every trial prime
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 9 primes; as Miller-Rabin bases they decide primality exactly below _PSI_9,
+# the least strong pseudoprime to all of them (Jaeschke 1993), which exceeds every trial prime
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 _PSI_9 = 3825123056546413051
-PRIME_TEST_LIMIT = 318665857834031151167461
 
 # largest graded piece for initial_ideal_truncated (gin_ideal_truncated of 3 generic quadrics,
 # 3 trials, mod p, in process on a 2-vCPU VM, median of 5: s=5 d=5, 126 monomials, 0.019 s; s=5
@@ -119,9 +116,8 @@ def random_change(num_vars: int, seed: int, bound: int = DEFAULT_BOUND) -> Coord
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below PRIME_TEST_LIMIT, over the first 9 prime bases
-    below _PSI_9 and the first 12 from there on."""
-    if n >= PRIME_TEST_LIMIT:
+    """Deterministic Miller-Rabin over the first 9 prime bases, for n below _PSI_9."""
+    if n >= _PSI_9:
         raise ValueError(f"{n} is beyond the range the prime test decides")
     if n < 2:
         return False
@@ -131,7 +127,7 @@ def is_prime(n: int) -> bool:
     odd, twos = n - 1, 0
     while not odd & 1:
         odd, twos = odd >> 1, twos + 1
-    for a in _WITNESSES if n >= _PSI_9 else _WITNESSES[:9]:
+    for a in _WITNESSES:
         x = pow(a, odd, n)
         if x == 1 or x == n - 1:
             continue
@@ -193,12 +189,8 @@ def gin_subspace(
             f"too many monomials: s={num_vars} has {count} of degree at most {degree} (limit {MAX_SCAN_MONOMIALS})"
         )
     seeds = _trial_seeds(seed, trials)
-    weighted = _weighted_rows(rows, num_vars, degree, order)
-    outcomes = [
-        _scan_after_change(weighted, num_vars, degree, order, random_change(num_vars, ts, bound), random_prime(ts))
-        for ts in seeds
-    ]
-    return _report(outcomes, order, seeds)
+    draws = [(random_change(num_vars, ts, bound), random_prime(ts)) for ts in seeds]
+    return _report(_scan_after_changes(rows, num_vars, degree, order, draws), order, seeds)
 
 
 @cache

@@ -185,6 +185,21 @@ def test_enumerate_impossible_hilbert_function_exits_three(capsys, hf):
     assert "nonnegative with value 1 in degree 0" in err
 
 
+@pytest.mark.parametrize(
+    "hf",
+    [
+        "1,3,7",  # 7 quotient monomials of degree 2, but S_2 has 6
+        "1,2,6",  # the ideal has 1 monomial of degree 1 and none of degree 2
+        "1,3,1",  # 5 more ideal monomials in degree 2 than in 1, but x1, x2 have 3 of degree 2
+    ],
+)
+def test_infeasible_hilbert_function_has_no_candidate(capsys, hf):
+    from ginalg import enumerate_gin_candidates
+
+    assert enumerate_gin_candidates(3, [int(v) for v in hf.split(",")], 2) == []
+    assert invoke(capsys, ["enumerate", "--text", "--vars", "3", "--dmax", "2", "--hf", hf]) == (0, "none\n", "")
+
+
 def test_ci_demo_text_output(capsys):
     code, out, _ = invoke(capsys, ["ci-demo", "--seed", "1"])
     assert code == 0
@@ -301,6 +316,33 @@ def test_unstable_gin_exits_inconclusive(capsys, tmp_path):
     # the same span written with a duplicate, a multiple and a zero row gives the same report
     path.write_text("s=3 d=2 order=revlex\nx1^2 + x3^2\nx1*x3 - x2^2\n0\n-2*x2^2 + 2*x1*x3\nx1^2 + x3^2\n")
     assert invoke(capsys, ["gin", "--seed", "0", "--bound", "1", str(path)])[:2] == (code, out)
+
+
+def test_unstable_gin_makes_verify_inconclusive(capsys, tmp_path):
+    # verify draws the unstable gin above, and an unstable gin is no verdict either way
+    path = tmp_path / "V.txt"
+    path.write_text("s=3 d=2 order=revlex\nx1*x3 - x2^2\nx1^2 + x3^2\n")
+    argv = ["verify", "--seed", "0", "--bound", "1", str(path)]
+    assert invoke(capsys, argv[:1] + ["--text"] + argv[1:]) == (2, "status: inconclusive\n", "")
+    code, out, _ = invoke(capsys, argv)
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "inconclusive" and payload["gin"]["stable"] is False
+    assert payload["shape"] is None and payload["certificate"] is None
+
+
+def test_probe_sample_whose_restriction_is_zero(capsys, tmp_path):
+    """V = (x1 + x2) * S_1 in s=2 restricted to x1 + x2 = 0 is zero, which has no common
+    factor: the sample shows '-' and null, and consistency is read from the others."""
+    path = tmp_path / "V.txt"
+    path.write_text("s=2 d=2\nx1^2 + x1*x2\nx1*x2 + x2^2\n")
+    argv = ["probe", "--bound", "1", "--trials", "8", "--seed", "0", str(path)]
+    code, out, _ = invoke(capsys, argv[:1] + ["--text"] + argv[1:])
+    assert (code, out) == (0, "restriction factor degrees: 2 2 2 2 2 2 2 - (subspace factor degree 1)\n")
+    code, out, _ = invoke(capsys, argv)
+    payload = json.loads(out)
+    zero = [sample for sample in payload["samples"] if sample["factor_degree"] is None]
+    assert code == 0 and zero == [{"h": "x1 + x2", "factor_degree": None, "factor": None}]
+    assert payload["consistent"] is True and payload["subspace_factor_degree"] == 1
 
 
 @pytest.mark.parametrize("order", ["revlex", "lex", "mixed"])

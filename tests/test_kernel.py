@@ -369,6 +369,25 @@ def test_packed_column_scan_matches_the_column_oracle():
     assert initial_after_change(rows, 2, 4, REVLEX, change).exps == expected == {(4, 0)}
 
 
+def test_one_packing_serves_draws_of_different_widths():
+    """A batch of draws shares one packing, its slot width set by the widest draw: here
+    prime 3, then a 61-bit prime, then an exact non-triangular change with fractional
+    entries, whose l1 norms need the widest slots.  Draw by draw, the batch gives the
+    pivots of that draw scanned alone and the column oracle's."""
+    s, d, order = 3, 5, REVLEX
+    rng = random.Random(26)
+    monomials = monomials_of_degree(s, d)
+    rows = [{e: rng.randint(-(2**40), 2**40) for e in rng.sample(monomials, 8)} for _ in range(5)]
+    rows.append({e: rows[0].get(e, 0) - 2 * rows[1].get(e, 0) for e in monomials})
+    exact = CoordinateChange([[Fraction(3, 2), -40, Fraction(7, 997)], [25, Fraction(-1, 991), 60], [Fraction(-9, 7), 33, 5]])
+    draws = [(random_change(s, 1), 3), (random_change(s, 2), random_prime(0)), (exact, None)]
+    batch = subspaces._scan_after_changes(rows, s, d, order, draws)
+    assert len(batch) == len(draws)
+    for got, (change, prime) in zip(batch, draws):
+        assert got == initial_after_change(rows, s, d, order, change, prime)
+        assert got.exps == _column_pivots_oracle(rows, s, d, order, change, prime)
+
+
 @pytest.mark.parametrize("order,s", CASES)
 def test_restrict_subspace_matches_reference(order, s):
     rng = random.Random(4000 * s + len(order))

@@ -28,7 +28,7 @@ from ginalg import (
 )
 from ginalg import gin as gin_module
 from ginalg.forms import ORDER_NAMES, apply_change
-from ginalg.gin import PRIME_TEST_LIMIT, is_prime, random_prime
+from ginalg.gin import is_prime, random_prime
 from ginalg.subspaces import RowEchelon
 from oracles import spanning_args
 
@@ -128,14 +128,15 @@ def _strong_probable_prime(n, a):
 
 
 def test_miller_rabin_rejects_strong_pseudoprimes():
-    # psi_t passes the first t bases, and the test rejects it: psi_9 is the first number
-    # the test puts to all 12 bases
+    # psi_t passes the first t bases, and the test rejects it up to psi_8; psi_9 passes all
+    # 9 bases the test has, so from it on the test refuses to decide
     for t, psi in enumerate(_PSI, start=1):
         assert all(_strong_probable_prime(psi, a) for a in _BASES[:t])
+    for psi in _PSI[:-1]:
         assert not is_prime(psi)
-    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) ** 2)
+    assert is_prime(2**61 - 1) and not is_prime(1_000_000_007**2)
     with pytest.raises(ValueError):
-        is_prime(PRIME_TEST_LIMIT)
+        is_prime(_PSI[-1])
 
 
 def test_random_prime_contract():
