@@ -37,7 +37,6 @@ _EXPORTS = {
         "Subspace",
         "contains",
         "echelonize",
-        "initial_after_change",
         "initial_subspace",
         "minimalize",
         "random_form",
@@ -51,6 +50,7 @@ _EXPORTS = {
         "gin_ideal_truncated",
         "gin_subspace",
         "ideal_graded_piece",
+        "initial_after_change",
         "initial_ideal_truncated",
         "random_change",
     ),

@@ -27,8 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .forms import (
@@ -42,7 +41,6 @@ from .forms import (
     format_monomial,
     integer_row,
     monomial_key,
-    monomial_positions,
     monomials_of_degree,
     primitive,
     restriction_images,
@@ -329,145 +327,6 @@ def transform_subspace(space: Subspace, change: CoordinateChange) -> Subspace:
         raise ValueError("subspace and coordinate change over different variable counts")
     rows = sym_power(list(space.rows.values()), change.images, space.num_vars)
     return Subspace(space.num_vars, space.degree, space.order, rows)
-
-
-@cache
-def _position_tables(order: str, num_vars: int, degree: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """For degree >= 1, in monomial_positions: each monomial's first variable j and the position
-    of the monomial over x_j a degree lower; for each x_j, that of x_j times each one lower."""
-    below = monomial_positions(order, num_vars, degree - 1)
-    here = monomial_positions(order, num_vars, degree)
-    parents = [(j := next(k for k, e in enumerate(m) if e), below[m[:j] + (m[j] - 1,) + m[j + 1 :]]) for m in here]
-    times = [[here[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in below] for j in range(num_vars)]
-    return parents, times
-
-
-@cache
-def _factorial_weights(order: str, num_vars: int, degree: int) -> list[int]:
-    """u! = the product of the u_i! for each monomial u of the degree, in monomial_positions order."""
-    return [prod(map(factorial, u)) for u in monomial_positions(order, num_vars, degree)]
-
-
-def initial_after_change(
-    rows: Iterable[Row], num_vars: int, degree: int, order: str, change: CoordinateChange, prime: int | None = None
-) -> MonomialSet:
-    """in(gV) for the change g and the span V of integer rows, dependent or zero ones
-    allowed: initial_subspace(transform_subspace(V, change)), read from the columns of the
-    moved rows without building them; with a prime, all is reduced modulo it, and the
-    pivots are at most the exact ones."""
-    return _scan_after_changes(rows, num_vars, degree, order, [(change, prime)])[0]
-
-
-def _scan_after_changes(
-    rows: Iterable[Row],
-    num_vars: int,
-    degree: int,
-    order: str,
-    draws: list[tuple[CoordinateChange, int | None]],
-) -> list[MonomialSet]:
-    """initial_after_change of the rows for each (change, prime) of draws.  The rows are
-    weighted and packed once for all the draws, so the trials of one gin share them.
-
-    With A = Sym^d(g) the moved rows are R*A.  Expanding (x^T g y)^d in x and in y gives
-    A[u, m](g) = (u!/m!) * A[m, u](g^T), where u! is the product of the u_i!.  So column m
-    of R*A, times m!, has entry sum_u R[r][u] * u! * T_m[u] in row r, where T_m is the
-    image of m under the transposed substitution; a column's scale does not change the
-    pivots.  Any rows that span V give the same column pivots.  The pivots of an echelon
-    form are its greedy column basis: in descending order, a column is a pivot exactly
-    when it is independent of the columns before it.  So the scan stops once the pivots
-    number the nonzero rows, which is dim V for independent rows.  At the first dependent
-    column it takes the rank of the rows (modulo the prime, if any), which bounds the
-    number of pivots, and stops at that count instead.  T_m is a list over the positions
-    of degree d, built on first use from T_{m/x_j}, x_j the first variable of m.
-
-    The rows are packed across once: at each position of the union of their supports, one
-    integer whose slot r, `width` bytes wide, holds row r's entry there.  So a column is
-    one dot product of the packed integers with T_m, and slot r of the sum is row r's entry
-    of the column.  With half = 2^(8 width - 1) added to every slot, the entries are read
-    from the bytes of the sum: a slot holds any v with |v| < half, since a negative slot
-    borrows from the next one and the added half pays it back.  An entry is at most
-    |support| * max|entry| * max|T_m| < 2^(bits(|support|) + entry bits + image bits) in
-    absolute value, so width is the least number of bytes with
-    8 width >= entry bits + image bits + bits(|support|) + 1 sign bit,
-    image bits the largest over the draws, so one packing serves them all.
-    Modulo the prime each T_m is reduced, so image bits are bits(p).  Exactly, T_m is a
-    product of d columns of the transposed change, and the l1 norm of a product is at most
-    the product of the factors' l1 norms, so its coefficients are at most
-    L^d <= 2^(d * bits(L)), L the largest l1 norm of a column: image bits are d * bits(L).
-    The rows' entries are packed unreduced, since RowEchelon reduces each column modulo
-    the prime on entry.  A zero sum is a zero column, which is dependent.
-    """
-    positions = monomial_positions(order, num_vars, degree)
-    weights = _factorial_weights(order, num_vars, degree)
-    # each nonzero row keyed by the positions of its monomials u, its entries times u!
-    weighted = [{(i := positions[u]): c * weights[i] for u, c in row.items()} for row in rows if row]
-    for change, _ in draws:
-        if num_vars != change.num_vars:
-            raise ValueError("rows and coordinate change over different variable counts")
-    if not weighted:
-        return [MonomialSet(num_vars, degree, frozenset()) for _ in draws]
-    transposed = [
-        [[(i, c) for i, image in enumerate(change.images) for k, c in image if k == j] for j in range(num_vars)]
-        for change, _ in draws
-    ]
-    # the packed integers, keyed by the positions of the union of the rows' supports
-    packed = dict.fromkeys((i for row in weighted for i in row), 0)
-    entry_bits = max(abs(c) for row in weighted for c in row.values()).bit_length()
-    image_bits = max(
-        prime.bit_length() if prime else degree * max(sum(abs(c) for _, c in column) for column in t).bit_length()
-        for t, (_, prime) in zip(transposed, draws)
-    )
-    width = (entry_bits + image_bits + len(packed).bit_length() + 8) // 8
-    half, nbytes = 1 << (8 * width - 1), width * len(weighted)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(weighted), "little")
-    for r, row in enumerate(weighted):
-        shift = 8 * width * r
-        for i, c in row.items():
-            packed[i] += c << shift
-
-    def scan(columns_of: list[list[tuple[int, int]]], prime: int | None) -> MonomialSet:
-        # images[k][i]: T of the monomial at position i of degree k, None until built
-        images = [[[1]]] + [[None] * len(monomial_positions(order, num_vars, k)) for k in range(1, degree + 1)]
-
-        def image_of(k: int, i: int) -> list[int]:
-            # down the divisors to a built image, then up, each image from the one below: a
-            # loop, so the degree is not bounded by the interpreter's recursion limit
-            chain = []
-            while images[k][i] is None:
-                parents, times = _position_tables(order, num_vars, k)
-                j, below = parents[i]
-                chain.append((k, i, j, times, len(parents)))
-                k, i = k - 1, below
-            image = images[k][i]
-            for k, i, j, times, size in reversed(chain):
-                got = [0] * size
-                for slot, c in columns_of[j]:
-                    for q, a in zip(times[slot], image):
-                        got[q] += c * a
-                images[k][i] = image = got if prime is None else [v % prime for v in got]
-            return image
-
-        # a column is keyed by row index: the order serves only to test independence
-        columns = RowEchelon(None, prime=prime)
-        pivots: list[Exponent] = []
-        rank = None
-        for m, i in positions.items():
-            total = sum(map(mul, packed.values(), map(image_of(degree, i).__getitem__, packed)))
-            column = {}
-            if total:
-                data = (total + bias).to_bytes(nbytes, "little")
-                slots = (int.from_bytes(data[at : at + width], "little") - half for at in range(0, nbytes, width))
-                column = {r: entry for r, entry in enumerate(slots) if entry}
-            if columns.add(column):
-                pivots.append(m)
-            elif rank is None:
-                # a dependent column: the rows may be dependent too, and their rank bounds the pivots
-                rank = len(RowEchelon(None, weighted, prime).rows)
-            if len(pivots) == (len(weighted) if rank is None else rank):
-                break
-        return MonomialSet(num_vars, degree, frozenset(pivots))
-
-    return [scan(t, prime) for t, (_, prime) in zip(transposed, draws)]
 
 
 def restrict_subspace(space: Subspace, linear: Form) -> Subspace:

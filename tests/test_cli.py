@@ -376,16 +376,16 @@ def test_a_repeated_line_builds_one_more_column_per_trial(capsys, monkeypatch, t
     """Dependent rows stop the column scan at their rank, taken at the first dependent
     column: a file with a repeated line scans what the file without it scans, plus, per
     trial, the one dependent column that shows the rows dependent, not the whole piece."""
-    from ginalg import subspaces
+    from ginalg import gin
 
     built = []
-    tables = subspaces._position_tables
+    tables = gin._position_tables
 
     def counting(order, num_vars, degree):
         built.append(degree)  # one call per transposed image built
         return tables(order, num_vars, degree)
 
-    monkeypatch.setattr(subspaces, "_position_tables", counting)
+    monkeypatch.setattr(gin, "_position_tables", counting)
     rng = random.Random(8)
     lines = [format_form(random_form(rng, 4, 3, 10)) for _ in range(8)]
     reports = []
@@ -421,9 +421,9 @@ def test_one_dimensional_gin_of_high_degree_within_budget(capsys, tmp_path):
     """The scan lists the d + 1 monomials of each degree up to d in 2 variables, which at
     d = 600 takes well under the budget; a listing that recursed down to no variables
     took O(d^2) steps per degree, 11 s in all."""
-    from ginalg import forms, subspaces
+    from ginalg import forms, gin
 
-    for cached in (forms.monomials_of_degree, forms.monomial_positions, subspaces._position_tables):
+    for cached in (forms.monomials_of_degree, forms.monomial_positions, gin._position_tables):
         cached.cache_clear()
     path = tmp_path / "V.txt"
     path.write_text("s=2\nx1^600 + x2^600\n")
@@ -442,6 +442,23 @@ def test_gin_of_too_many_monomials_exits_three(tmp_path):
         result = _ginalg(argv + [str(path)])
         assert result.returncode == 3 and result.stdout == ""
         assert "s=3 has 10827401 of degree at most 400 (limit 300000)" in result.stderr
+
+
+def test_gin_of_too_many_monomials_exits_before_drawing_a_change(capsys, monkeypatch, tmp_path):
+    """A change costs O(s^2) to draw and check, so a wide s is refused before any draw:
+    s=800 has 321201 monomials of degree at most 2."""
+    from ginalg import gin
+
+    def refuse(num_vars, seed, bound):
+        raise AssertionError(f"drew a change in {num_vars} variables")
+
+    monkeypatch.setattr(gin, "random_change", refuse)
+    path = tmp_path / "V.txt"
+    path.write_text("s=800\nx1^2\n")
+    for argv in (["gin", "--text"], ["verify"]):
+        code, out, err = invoke(capsys, argv + [str(path)])
+        assert code == 3 and out == ""
+        assert "s=800 has 321201 of degree at most 2 (limit 300000)" in err
 
 
 def test_gin_reads_its_file_without_building_a_form(capsys, monkeypatch, quadrics_file):
@@ -639,22 +656,40 @@ def test_degree_comes_from_first_nonzero_form(capsys, tmp_path, body):
 
 
 @pytest.mark.parametrize(
-    "argv, header, message",
+    "argv, text, message",
     [
-        (["in"], "s=3 d=2 dd=5", "{path}:1: unknown header key 'dd'; expected s, d or order"),
-        (["in"], "s=3 s=4 d=2", "{path}:1: repeated header key 's'"),
-        (["in", "--vars", "-1"], "d=2", "argument --vars: needs an integer of at least 0, got '-1'"),
+        (["in"], "s=3 d=2 dd=5\nx1^2\n", "{path}:1: unknown header key 'dd'; expected s, d or order"),
+        (["in"], "s=3 s=4 d=2\nx1^2\n", "{path}:1: repeated header key 's'"),
+        (["in", "--vars", "-1"], "d=2\nx1^2\n", "argument --vars: needs an integer of at least 0, got '-1'"),
         (["hilbert", "--vars", "-2", "--dmax", "2", "x1"], None, "argument --vars: needs an integer of at least 1, got '-2'"),
         (["hilbert", "--vars", "0", "--dmax", "2", "1"], None, "argument --vars: needs an integer of at least 1, got '0'"),
         (["colon", "--vars", "0", "1"], None, "argument --vars: needs an integer of at least 1, got '0'"),
         (["enumerate", "--vars", "2", "--dmax", "2", "--hf", "1,a"], None, "--hf needs comma-separated integers, got '1,a'"),
+        (["gin"], "x1^2 + x2^2\n", "{path}: number of variables unknown; add a header or pass --vars"),
+        (["gin-ideal", "--dmax", "3"], "s=3\n0*x1^2\n0\n", "{path}: no nonzero generators"),
+        (["enumerate", "--vars", "1", "--dmax", "2", "--hf", "1,1,1"], None, "need at least two variables"),
+        (["enumerate", "--vars", "3", "--dmax", "0", "--hf", "1,3,5"], None, "dmax must be at least 1"),
+        (["enumerate", "--vars", "3", "--dmax", "2", "--hf", " "], None, "quotient Hilbert function must be nonempty"),
     ],
-    ids=["unknown-key", "repeated-key", "in-vars", "hilbert-vars", "hilbert-vars-zero", "colon-vars-zero", "enumerate-hf"],
+    ids=[
+        "unknown-key",
+        "repeated-key",
+        "in-vars",
+        "hilbert-vars",
+        "hilbert-vars-zero",
+        "colon-vars-zero",
+        "enumerate-hf",
+        "no-vars",
+        "zero-generators",
+        "one-variable",
+        "dmax-zero",
+        "empty-hf",
+    ],
 )
-def test_bad_header_keys_and_flags_exit_three(tmp_path, argv, header, message):
+def test_bad_header_keys_and_flags_exit_three(tmp_path, argv, text, message):
     path = tmp_path / "V.txt"
-    if header is not None:
-        path.write_text(f"{header}\nx1^2\n")
+    if text is not None:
+        path.write_text(text)
         argv = argv + [str(path)]
     result = _ginalg(argv)
     assert result.returncode == 3 and result.stdout == ""

@@ -210,8 +210,13 @@ def test_divide_subspace_round_trip():
 
 def test_divide_subspace_names_offender():
     space = echelonize([F("x1^2", 2), F("x2^2", 2)])
-    with pytest.raises(ValueError, match="does not divide basis form"):
-        divide_subspace(space, F("x1", 2))
+    for divisor, message in [
+        (F("x1", 2), "does not divide basis form"),
+        (F("0", 2), "cannot divide a subspace by zero"),
+        (F("x1", 3), "forms over different variable counts: 2 vs 3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            divide_subspace(space, divisor)
 
 
 # -- shape detection --------------------------------------------------------------

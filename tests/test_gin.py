@@ -213,6 +213,24 @@ def test_gin_ideal_dmax_too_small():
         gin_ideal_truncated([F("x1^2", 3), F("x2^3", 3)], 2, REVLEX)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gin_ideal_truncated([F("0", 3), F("0*x1^2", 3)], 3), "need at least one nonzero generator"),
+        (lambda: initial_ideal_truncated([F("0", 3), F("0*x1^2", 3)], 3), "need at least one nonzero generator"),
+        (
+            lambda: initial_after_change([{(2, 0, 0): 1}], 3, 2, REVLEX, CoordinateChange([[1, 0], [1, 1]])),
+            "rows and coordinate change over different variable counts",
+        ),
+    ],
+    ids=["gin-ideal-zero", "initial-ideal-zero", "change-of-other-variables"],
+)
+def test_unusable_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_gin_ideal_hilbert_compatibility_and_structure():
     rng = random.Random(6)
     quadrics = [random_form(rng, 4, 2, 100) for _ in range(3)]

@@ -381,7 +381,7 @@ def test_one_packing_serves_draws_of_different_widths():
     rows.append({e: rows[0].get(e, 0) - 2 * rows[1].get(e, 0) for e in monomials})
     exact = CoordinateChange([[Fraction(3, 2), -40, Fraction(7, 997)], [25, Fraction(-1, 991), 60], [Fraction(-9, 7), 33, 5]])
     draws = [(random_change(s, 1), 3), (random_change(s, 2), random_prime(0)), (exact, None)]
-    batch = subspaces._scan_after_changes(rows, s, d, order, draws)
+    batch = gin_module._scan_after_changes(rows, s, d, order, draws)
     assert len(batch) == len(draws)
     for got, (change, prime) in zip(batch, draws):
         assert got == initial_after_change(rows, s, d, order, change, prime)
@@ -514,6 +514,23 @@ def test_sparse_high_degree_never_enumerates_the_piece(order, monkeypatch):
     restricted = restrict_subspace(space, parse_form(f"x{s} - x{s - 1}", s))
     assert restricted.num_vars == s - 1 and 0 < restricted.dim <= space.dim
     assert len(restricted.basis) == restricted.dim
+
+
+def test_initial_after_change_refuses_too_many_monomials_before_listing_them(monkeypatch):
+    """A scan tabulates every monomial of degree at most d, 341376 of them here, which
+    took over a second and 100 MiB; initial_after_change refuses first, as gin does."""
+
+    def refuse(order, num_vars, degree):
+        raise AssertionError(f"listed the monomials of degree {degree} in {num_vars} variables")
+
+    for name in ("monomial_positions", "_position_tables", "_factorial_weights"):
+        monkeypatch.setattr(gin_module, name, refuse)
+    monkeypatch.setattr(forms_module, "monomial_positions", refuse)
+    d = 125
+    rows = [{(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1}]
+    with pytest.raises(ValueError) as info:
+        initial_after_change(rows, 3, d, REVLEX, random_change(3, 0))
+    assert str(info.value) == "too many monomials: s=3 has 341376 of degree at most 125 (limit 300000)"
 
 
 @pytest.mark.parametrize("seed", range(6))
