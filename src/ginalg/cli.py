@@ -22,13 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 
 from .forms import (
     REVLEX,
     Form,
     InvariantError,
     Row,
+    check_monomial_count,
     cleared_row,
     form_from_row,
     format_form,
@@ -304,11 +304,7 @@ def cmd_hilbert(args) -> int:
 
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    count = comb(args.dmax + args.vars, args.vars)
-    if count > MAX_HILBERT_MONOMIALS:
-        raise ValueError(
-            f"too many monomials: s={args.vars} has {count} of degree at most {args.dmax} (limit {MAX_HILBERT_MONOMIALS})"
-        )
+    check_monomial_count(args.vars, args.dmax, MAX_HILBERT_MONOMIALS)
     ideal = parse_ideal(args.ideal, args.vars)
     values = [hilbert_function(ideal, d) for d in range(args.dmax + 1)]
     _emit(args, {"values": values, "dmax": args.dmax}, " ".join(str(v) for v in values))

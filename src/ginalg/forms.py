@@ -119,13 +119,26 @@ def sort_monomials(order: str, exps: Iterable[Exponent]) -> list[Exponent]:
 def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponent, ...]:
     """All exponent vectors of the given total degree, descending revlex: the last
     exponent ascending, then the variables before it in the same order.  Cached per
-    (num_vars, degree), so callers share one tuple."""
+    (num_vars, degree), so callers share one tuple.  Listed in a loop from x1^d, with no
+    recursion: the first x_i with a positive exponent passes one to x_{i+1}, the rest to x1."""
     if num_vars == 0:
         return ((),) if degree == 0 else ()
-    if num_vars == 1:
-        # stopping at 0 variables would take degree + 1 steps to list this one monomial
-        return ((degree,),)
-    return tuple(m + (e,) for e in range(degree + 1) for m in monomials_of_degree(num_vars - 1, degree - e))
+    exps = [degree] + [0] * (num_vars - 1)
+    listed = [tuple(exps)]
+    first = 0  # the first variable with a positive exponent
+    while exps[-1] < degree:
+        e, exps[first] = exps[first], 0
+        exps[first + 1] += 1
+        exps[0] = e - 1
+        first = 0 if e > 1 else first + 1
+        listed.append(tuple(exps))
+    return tuple(listed)
+
+
+def check_monomial_count(num_vars: int, degree: int, limit: int) -> None:
+    """Refuse past `limit` monomials of degree at most `degree` in num_vars variables."""
+    if (count := math.comb(degree + num_vars, num_vars)) > limit:
+        raise ValueError(f"too many monomials: s={num_vars} has {count} of degree at most {degree} (limit {limit})")
 
 
 @cache

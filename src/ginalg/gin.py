@@ -14,8 +14,8 @@ from a stream seeded by the trial seed alone.  A trial of a subspace
 `gin` runs no elimination before the trials.  It scans the columns of gV
 in descending order, each from the transposed change through
 A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g): every transposed
-monomial image is a list mod p over the positions of its degree, built
-from one a degree lower through cached position tables.  The rows are packed
+monomial image T_m is a list mod p over the positions of its degree, built
+from T_{m/x_j}, x_j the last variable of m, whose column is the shortest.  The rows are packed
 across once per `gin` call, into one big integer per position, slot r
 holding row r's entry (`_scan_after_changes`, which takes all the trials'
 changes and primes at once), so each column is one dot product of those
@@ -52,7 +52,7 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import Collection, Iterable
 
-from .forms import REVLEX, Exponent, Form, Record, Row, apply_change, integer_row, monomial_key, monomial_positions
+from .forms import REVLEX, Exponent, Form, Record, Row, apply_change, check_monomial_count, integer_row, monomial_key, monomial_positions
 from .subspaces import (
     DEFAULT_BOUND,
     DEFAULT_TRIALS,
@@ -167,28 +167,20 @@ def _report(outcomes: list[MonomialSet], order: str, seeds: tuple[int, ...]) -> 
 
 
 @cache
-def _position_tables(order: str, num_vars: int, degree: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """For degree >= 1, in monomial_positions: each monomial's first variable j and the position
-    of the monomial over x_j a degree lower; for each x_j, that of x_j times each one lower."""
+def _position_tables(order: str, num_vars: int, degree: int) -> tuple[dict[int, tuple[int, int]], list[list[int]]]:
+    """For degree >= 1, in monomial_positions: by position, each monomial m's last variable j,
+    from the x_j * (m/x_j) written last, and the position of m/x_j, the split that `_grow` and the
+    scan use (x_j's column is the shortest); for each x_j, that of x_j times each one lower."""
     below = monomial_positions(order, num_vars, degree - 1)
     here = monomial_positions(order, num_vars, degree)
-    parents = [(j := next(k for k, e in enumerate(m) if e), below[m[:j] + (m[j] - 1,) + m[j + 1 :]]) for m in here]
     times = [[here[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in below] for j in range(num_vars)]
-    return parents, times
+    return {q: (j, p) for j, at in enumerate(times) for p, q in enumerate(at)}, times
 
 
 @cache
 def _factorial_weights(order: str, num_vars: int, degree: int) -> list[int]:
     """u! = the product of the u_i! for each monomial u of the degree, in monomial_positions order."""
     return [prod(map(factorial, u)) for u in monomial_positions(order, num_vars, degree)]
-
-
-def _check_scan_size(num_vars: int, degree: int) -> None:
-    """Refuse a scan past MAX_SCAN_MONOMIALS: it tabulates the monomials of every degree up to d."""
-    if (count := comb(degree + num_vars, num_vars)) > MAX_SCAN_MONOMIALS:
-        raise ValueError(
-            f"too many monomials: s={num_vars} has {count} of degree at most {degree} (limit {MAX_SCAN_MONOMIALS})"
-        )
 
 
 def initial_after_change(
@@ -222,7 +214,8 @@ def _scan_after_changes(
     number the nonzero rows, which is dim V for independent rows.  At the first dependent
     column it takes the rank of the rows (modulo the prime, if any), which bounds the
     number of pivots, and stops at that count instead.  T_m is a list over the positions
-    of degree d, built on first use from T_{m/x_j}, x_j the first variable of m.
+    of degree d, built on first use from T_{m/x_j}, x_j the last variable of m, in the images
+    of x_j, ..., x_s only, so its column of the transposed change is the shortest.
 
     The rows are packed across once: at each position of the union of their supports, one
     integer whose slot r, `width` bytes wide, holds row r's entry there.  So a column is
@@ -241,7 +234,7 @@ def _scan_after_changes(
     The rows' entries are packed unreduced, since RowEchelon reduces each column modulo
     the prime on entry.  A zero sum is a zero column, which is dependent.
     """
-    _check_scan_size(num_vars, degree)
+    check_monomial_count(num_vars, degree, MAX_SCAN_MONOMIALS)
     positions = monomial_positions(order, num_vars, degree)
     weights = _factorial_weights(order, num_vars, degree)
     # each nonzero row keyed by the positions of its monomials u, its entries times u!
@@ -251,10 +244,12 @@ def _scan_after_changes(
             raise ValueError("rows and coordinate change over different variable counts")
     if not weighted:
         return [MonomialSet(num_vars, degree, frozenset()) for _ in draws]
-    transposed = [
-        [[(i, c) for i, image in enumerate(change.images) for k, c in image if k == j] for j in range(num_vars)]
-        for change, _ in draws
-    ]
+    # column j of each change: (i, c) for each c * x_j in the image of x_i, i ascending
+    transposed = [[[] for _ in range(num_vars)] for _ in draws]
+    for columns, (change, _) in zip(transposed, draws):
+        for i, image in enumerate(change.images):
+            for j, c in image:
+                columns[j].append((i, c))
     # the packed integers, keyed by the positions of the union of the rows' supports
     packed = dict.fromkeys((i for row in weighted for i in row), 0)
     entry_bits = max(abs(c) for row in weighted for c in row.values()).bit_length()
@@ -279,9 +274,9 @@ def _scan_after_changes(
             # loop, so the degree is not bounded by the interpreter's recursion limit
             chain = []
             while images[k][i] is None:
-                parents, times = _position_tables(order, num_vars, k)
-                j, below = parents[i]
-                chain.append((k, i, j, times, len(parents)))
+                splits, times = _position_tables(order, num_vars, k)
+                j, below = splits[i]
+                chain.append((k, i, j, times, len(splits)))
                 k, i = k - 1, below
             image = images[k][i]
             for k, i, j, times, size in reversed(chain):
@@ -330,17 +325,10 @@ def gin_subspace(
     Each trial computes only the pivots of the moved subspace, from its columns through
     the transposed change, modulo the trial's prime; the moved rows are never built.
     """
-    _check_scan_size(num_vars, degree)  # before the draws, whose changes alone cost O(trials * s^2)
+    check_monomial_count(num_vars, degree, MAX_SCAN_MONOMIALS)  # before the draws, each O(s^2)
     seeds = _trial_seeds(seed, trials)
     draws = [(random_change(num_vars, ts, bound), random_prime(ts)) for ts in seeds]
     return _report(_scan_after_changes(rows, num_vars, degree, order, draws), order, seeds)
-
-
-@cache
-def _last_variables(order: str, num_vars: int, degree: int) -> list[int]:
-    """For each monomial of the degree, in monomial_positions order, the index of the last
-    variable dividing it (0 for 1)."""
-    return [max((j for j, e in enumerate(m) if e), default=0) for m in monomial_positions(order, num_vars, degree)]
 
 
 def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_vars: int) -> None:
@@ -370,12 +358,12 @@ def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_va
     later: list[dict] = []
     if below:
         times = _position_tables(order, num_vars, degree)[1]
-        last = _last_variables(order, num_vars, degree - 1)
+        splits = _position_tables(order, num_vars, degree - 1)[0]  # degree - 1 >= 1: a nonempty S_0 piece is full
         for pivot, row in below.items():
             for j in range(num_vars):
                 at = times[j]
                 product = {at[i]: c for i, c in row.items()}
-                if j >= last[pivot]:
+                if j >= splits[pivot][0]:
                     rows[at[pivot]] = product
                 else:
                     later.append(product)
@@ -431,24 +419,33 @@ def ideal_graded_piece(
     return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
 
 
+def _checked_gens(gens: list[Form], dmax: int) -> list[Form]:
+    """The nonzero gens, refused when there are none, when they have no variable, when dmax is
+    below a degree of theirs or when the piece of degree dmax is past MAX_PIECE_MONOMIALS."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise ValueError("need at least one nonzero generator")
+    num_vars = gens[0].num_vars
+    if num_vars < 1:
+        raise ValueError("need at least one variable")
+    if dmax < max(g.degree for g in gens):
+        raise ValueError(f"dmax {dmax} below the largest generator degree")
+    if (size := comb(dmax + num_vars - 1, num_vars - 1)) > MAX_PIECE_MONOMIALS:
+        raise ValueError(
+            f"graded piece too large: s={num_vars}, d={dmax} has {size} monomials (limit {MAX_PIECE_MONOMIALS})"
+        )
+    return gens
+
+
 def initial_ideal_truncated(
     gens: list[Form], dmax: int, order: str = REVLEX, prime: int | None = None
 ) -> dict[int, MonomialSet]:
     """in(I_d) for each degree up to dmax, each piece grown from the one below in one
     shared echelon; deterministic.  Exact without a prime; modulo one, each piece is at
     most the exact one."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("need at least one nonzero generator")
+    gens = _checked_gens(gens, dmax)
     num_vars = gens[0].num_vars
     dmin = min(g.degree for g in gens)
-    if dmax < max(g.degree for g in gens):
-        raise ValueError(f"dmax {dmax} below the largest generator degree")
-    size = comb(dmax + num_vars - 1, num_vars - 1)
-    if size > MAX_PIECE_MONOMIALS:
-        raise ValueError(
-            f"graded piece too large: s={num_vars}, d={dmax} has {size} monomials (limit {MAX_PIECE_MONOMIALS})"
-        )
     echelon = RowEchelon(None, prime=prime)
     return {d: ideal_graded_piece(gens, d, order, num_vars, prime, echelon) for d in range(dmin, dmax + 1)}
 
@@ -486,11 +483,9 @@ def gin_ideal_truncated(
     trial; the transformed generators span the same graded pieces as the
     transformed ideal, so the change is applied to the generators once.
     """
-    seeds = _trial_seeds(seed, trials)
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("need at least one nonzero generator")
+    gens = _checked_gens(gens, dmax)  # before the draws, each O(s^2)
     num_vars = gens[0].num_vars
+    seeds = _trial_seeds(seed, trials)
     per_trial: list[dict[int, MonomialSet]] = []
     for ts in seeds:
         change = random_change(num_vars, ts, bound)

@@ -154,23 +154,21 @@ def enumerate_gin_candidates(num_vars: int, quotient_hf, dmax: int) -> list[Mono
         return []
 
     results: list[MonomialIdeal] = []
-
-    def extend(d: int, previous: set, chosen: list[set]) -> None:
+    # depth first, each degree's layers pushed in reverse to visit them in order: no recursion in dmax
+    stack: list[tuple[int, set, list[set]]] = [(1, set(), [])]
+    while stack:
+        d, previous, chosen = stack.pop()
         if d > dmax:
             monomials = [m + (0,) for layer in chosen for m in layer]
             candidate = minimalize(monomials, s)
             if any(g[-1] for g in candidate.gens):
                 raise InvariantError("generator involves the last variable")
-            if not all(hilbert_function(candidate, e) == hf_at(e) for e in range(dmax + 2)):
-                return
-            if not is_borel_fixed(candidate) or not is_saturated_in_last_variable(candidate):
-                return
-            results.append(candidate)
-            return
+            matches = all(hilbert_function(candidate, e) == hf_at(e) for e in range(dmax + 2))
+            if matches and is_borel_fixed(candidate) and is_saturated_in_last_variable(candidate):
+                results.append(candidate)
+            continue
         base = _shift_up(previous, s - 1) if previous else set()
-        for layer in _borel_closed_extensions(base, d, slice_sizes[d], s - 1):
-            extend(d + 1, layer, chosen + [layer])
-
-    extend(1, set(), [])
+        layers = list(_borel_closed_extensions(base, d, slice_sizes[d], s - 1))
+        stack.extend((d + 1, layer, chosen + [layer]) for layer in reversed(layers))
     results.sort(key=lambda J: [_generator_key(g) for g in J.gens])
     return results

@@ -404,15 +404,24 @@ def test_a_repeated_line_builds_one_more_column_per_trial(capsys, monkeypatch, t
     [
         (["restrict", "--hyperplane", "x2"], "s=2\nx1^1200 + x2^1200\n", {"s": 1, "basis": ["x1^1200"]}),
         (["gin"], "s=1\nx1^1200\n", {"result": ["x1^1200"], "stable": True}),
+        (["gin"], "s=400 d=1\nx1\n", {"result": ["x1"], "stable": True}),
+        (["probe", "--trials", "1"], "s=600 d=1\nx1\n", {"subspace_factor_degree": 1, "consistent": True}),
+        (["gcd", "--vars", "600", "x1*x2", "x1*x3"], None, {"gcd": "x1"}),
+        (["hilbert", "--vars", "600", "--dmax", "1", "x1"], None, {"values": [1, 599]}),
+        (["make-instance", "--vars", "600", "--r", "3", "--n", "0", "--m", "1"], None, {"s": 600}),
+        (["enumerate", "--vars", "2", "--dmax", "1200", "--hf", "1,1"], None, {"candidates": [["x1"]]}),
     ],
-    ids=["restrict", "gin"],
+    ids=["restrict", "gin", "gin-s400", "probe-s600", "gcd-s600", "hilbert-s600", "make-instance-s600", "enumerate"],
 )
 def test_degree_beyond_the_recursion_limit(capsys, tmp_path, argv, body, expected):
-    """A monomial's image is built up from its divisors' in a loop, so no degree meets
-    the interpreter's recursion limit."""
-    path = tmp_path / "V.txt"
-    path.write_text(body)
-    code, out, _ = invoke(capsys, argv + [str(path)])
+    """A monomial's image is built up from its divisors' in a loop, the monomials of a
+    degree are listed in one and `enumerate` searches its degrees on a stack, so no
+    degree, variable count or dmax meets the interpreter's recursion limit."""
+    if body is not None:
+        path = tmp_path / "V.txt"
+        path.write_text(body)
+        argv = argv + [str(path)]
+    code, out, _ = invoke(capsys, argv)
     payload = json.loads(out)
     assert code == 0 and {key: payload[key] for key in expected} == expected
 
@@ -446,7 +455,7 @@ def test_gin_of_too_many_monomials_exits_three(tmp_path):
 
 def test_gin_of_too_many_monomials_exits_before_drawing_a_change(capsys, monkeypatch, tmp_path):
     """A change costs O(s^2) to draw and check, so a wide s is refused before any draw:
-    s=800 has 321201 monomials of degree at most 2."""
+    s=800 has 321201 monomials of degree at most 2, and 320400 of degree 2."""
     from ginalg import gin
 
     def refuse(num_vars, seed, bound):
@@ -455,10 +464,14 @@ def test_gin_of_too_many_monomials_exits_before_drawing_a_change(capsys, monkeyp
     monkeypatch.setattr(gin, "random_change", refuse)
     path = tmp_path / "V.txt"
     path.write_text("s=800\nx1^2\n")
-    for argv in (["gin", "--text"], ["verify"]):
+    for argv, message in [
+        (["gin", "--text"], "s=800 has 321201 of degree at most 2 (limit 300000)"),
+        (["verify"], "s=800 has 321201 of degree at most 2 (limit 300000)"),
+        (["gin-ideal", "--dmax", "2"], "graded piece too large: s=800, d=2 has 320400 monomials (limit 150)"),
+    ]:
         code, out, err = invoke(capsys, argv + [str(path)])
         assert code == 3 and out == ""
-        assert "s=800 has 321201 of degree at most 2 (limit 300000)" in err
+        assert message in err
 
 
 def test_gin_reads_its_file_without_building_a_form(capsys, monkeypatch, quadrics_file):
