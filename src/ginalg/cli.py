@@ -43,10 +43,6 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-# most monomials of degree <= dmax that `hilbert` may enumerate (one generator, 2 vCPU:
-# s=6 dmax=20, 230230 monomials, 1.2 s; s=4 dmax=60, 635376 monomials, 3.7 s)
-MAX_HILBERT_MONOMIALS = 1_000_000
-
 
 class UsageError(Exception):
     pass
@@ -300,7 +296,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .ideals import hilbert_function, parse_ideal
+    from .ideals import MAX_HILBERT_MONOMIALS, hilbert_function, parse_ideal
 
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")

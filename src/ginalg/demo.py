@@ -25,14 +25,13 @@ J2 = parse_ideal("x1^2, x1*x2, x1*x3, x2^3, x2^2*x3, x2*x3^2, x3^4", NUM_VARS)
 
 
 def _ideal_dims(gens: list[Form]) -> dict[int, int]:
-    """{d: dim I_d} over the degrees of CI_IDEAL_DIMS, each piece grown from the one below."""
-    echelon = RowEchelon(None)
-    return {d: len(ideal_graded_piece(gens, d, REVLEX, NUM_VARS, echelon=echelon)) for d in CI_IDEAL_DIMS}
+    """{d: dim I_d} from the lowest generator degree up to DMAX, read from initial_ideal_truncated."""
+    return {d: len(piece) for d, piece in initial_ideal_truncated(gens, DMAX).items()}
 
 
 def is_three_quadric_ci(gens: list[Form]) -> bool:
     """Hilbert-pattern proxy for the regular-sequence property at desk scale."""
-    return len(gens) == 3 and all(g.degree == 2 for g in gens) and _ideal_dims(gens) == CI_IDEAL_DIMS
+    return len(gens) == 3 and all(g.degree == 2 and not g.is_zero() for g in gens) and _ideal_dims(gens) == CI_IDEAL_DIMS
 
 
 def truncated_initial_ideal(gens: list[Form], order: str) -> MonomialIdeal:

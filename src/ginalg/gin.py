@@ -39,8 +39,8 @@ add one term: they end early with probability at most (k+1) * 2^-60 per
 degree, k = dim I_d.  A slip or an early end only makes a trial smaller,
 which the maximum estimator already tolerates: the one-sided property
 holds unconditionally.  What reads rows stays exact, and so do the
-deterministic reads, which reduce every row: `ideal_graded_piece` and
-`initial_ideal_truncated` without a prime (the demo's Hilbert pattern,
+deterministic reads, which reduce every row: `ideal_graded_piece` with an exact
+echelon and `initial_ideal_truncated` without a prime (the demo's Hilbert pattern,
 initial ideals and witness search), the `in` subcommand and every Subspace.
 """
 
@@ -393,27 +393,24 @@ def ideal_graded_piece(
     degree: int,
     order: str,
     num_vars: int,
-    prime: int | None = None,
     echelon: RowEchelon | None = None,
 ) -> MonomialSet:
-    """in(I_d) for the ideal I generated by homogeneous gens, eliminated exactly, or modulo
-    prime when one is given.
+    """in(I_d) for the ideal I generated by homogeneous gens, eliminated modulo the prime of
+    `echelon`, a RowEchelon(None, prime=...), or exactly without one.
 
     The pieces are grown: I_d from the rows of I_{d-1} (see `_grow`), each row keyed by
     its monomials' positions in descending order, so its pivot is its smallest key.
-    `echelon`, a RowEchelon(None, prime=prime), holds the rows of I_{d-1} (none below the
-    lowest generator degree) and is grown in place to I_d, so reads of consecutive degrees
-    share it; without it the pieces are grown from the lowest generator degree.
+    A nonempty `echelon` holds the rows of I_{d-1}, and an empty one is grown from the lowest
+    generator degree; either is grown in place to I_d, so reads of consecutive degrees share it.
     """
     for g in gens:
         if g.num_vars != num_vars:
             raise ValueError(f"forms over different variable counts: {g.num_vars} vs {num_vars}")
     if echelon is None:
-        echelon = RowEchelon(None, prime=prime)
+        echelon = RowEchelon(None)
+    if not echelon.rows:
         for lower in range(min((g.degree for g in gens), default=degree), degree):
             _grow(echelon, gens, lower, order, num_vars)
-    elif echelon.prime != prime:
-        raise ValueError("the echelon and the piece are over different primes")
     _grow(echelon, gens, degree, order, num_vars)
     positions = monomial_positions(order, num_vars, degree)
     return MonomialSet(num_vars, degree, frozenset(e for e, i in positions.items() if i in echelon.rows))
@@ -440,14 +437,14 @@ def _checked_gens(gens: list[Form], dmax: int) -> list[Form]:
 def initial_ideal_truncated(
     gens: list[Form], dmax: int, order: str = REVLEX, prime: int | None = None
 ) -> dict[int, MonomialSet]:
-    """in(I_d) for each degree up to dmax, each piece grown from the one below in one
-    shared echelon; deterministic.  Exact without a prime; modulo one, each piece is at
-    most the exact one."""
+    """in(I_d) for each degree from the lowest generator degree up to dmax, each piece grown
+    from the one below in one shared echelon, which carries the prime; deterministic.  Exact
+    without a prime; modulo one, each piece is at most the exact one."""
     gens = _checked_gens(gens, dmax)
     num_vars = gens[0].num_vars
     dmin = min(g.degree for g in gens)
     echelon = RowEchelon(None, prime=prime)
-    return {d: ideal_graded_piece(gens, d, order, num_vars, prime, echelon) for d in range(dmin, dmax + 1)}
+    return {d: ideal_graded_piece(gens, d, order, num_vars, echelon) for d in range(dmin, dmax + 1)}
 
 
 class GinIdealReport(Record):

@@ -267,7 +267,8 @@ class CoordinateChange(Record):
     __slots__ = ("num_vars", "matrix", "images", "denominator")
 
     def __init__(self, rows: Iterable[Iterable]):
-        matrix = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
+        # an int entry is kept as given: it has the numerator and denominator read below
+        matrix = tuple(tuple(v if type(v) is int else _as_fraction(v) for v in row) for row in rows)
         s = len(matrix)
         if s == 0 or any(len(row) != s for row in matrix):
             raise ValueError("coordinate change matrix must be square and nonempty")

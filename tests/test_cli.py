@@ -632,6 +632,22 @@ def test_enumerate_too_many_subsets_exits_three():
     assert "degree 4 has 23535820 sets of 8 out of 35 monomials" in result.stderr
 
 
+def test_enumerate_too_many_monomials_exits_three(capsys, monkeypatch):
+    """Each candidate is checked by Hilbert functions that list every monomial of degree at
+    most dmax + 1, so `enumerate` shares the bound of `hilbert` and is refused before it
+    searches; an infeasible Hilbert function is still answered first."""
+    from ginalg import ideals
+
+    def refuse(*args):
+        raise AssertionError("searched past the monomial bound")
+
+    monkeypatch.setattr(ideals, "_borel_closed_extensions", refuse)
+    code, out, err = invoke(capsys, ["enumerate", "--vars", "2", "--dmax", "100000", "--hf", "1,1"])
+    assert code == 3 and out == ""
+    assert "too many monomials: s=2 has 5000250003 of degree at most 100001 (limit 1000000)" in err
+    assert invoke(capsys, ["enumerate", "--text", "--vars", "2", "--dmax", "100000", "--hf", "1,3"]) == (0, "none\n", "")
+
+
 def test_gin_ideal_oversized_piece_exits_three(tmp_path):
     path = tmp_path / "gens.txt"
     path.write_text("s=5\nx1^2 + 3*x2*x5 - x4^2\nx1*x3 - 2*x5^2\nx2^2 + x3*x4\n")

@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from ginalg import REVLEX, ci_quadrics_demo, parse_form, search_j2_revlex_witness
+from ginalg import REVLEX, Form, ci_quadrics_demo, parse_form, search_j2_revlex_witness
 from ginalg.demo import J2, is_three_quadric_ci, truncated_initial_ideal
 
 FIXTURE = Path(__file__).parent / "fixtures" / "j2_revlex_witness.txt"
@@ -57,3 +57,9 @@ def test_demo_json_round_trip():
     assert payload["ok"] is True
     assert len(payload["steps"]) == 5
     assert payload["seed"] == 3
+
+
+def test_zero_quadrics_are_no_complete_intersection():
+    zero = Form(4, 2, {})
+    assert not is_three_quadric_ci([zero, zero, zero])
+    assert not is_three_quadric_ci([parse_form("x1^2", 4), zero, zero])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -65,6 +66,27 @@ def test_random_change_needs_no_elimination(monkeypatch):
     for s in range(1, 8):
         for seed in range(5):
             random_change(s, seed, bound=1 + 99 * (seed % 2))
+
+
+def test_a_drawn_change_converts_no_entry_to_a_fraction(monkeypatch):
+    """A drawn change's entries are ints, which have the numerator and denominator that
+    CoordinateChange reads, so none is converted; its matrix keeps them, equal, hash-equal
+    and printed the same as the all-Fraction matrix."""
+    as_fractions = {
+        s: CoordinateChange([[Fraction(v) for v in row] for row in random_change(s, 1).matrix]) for s in (1, 4)
+    }
+
+    def refuse(value):
+        raise AssertionError("an entry of a drawn change was converted")
+
+    monkeypatch.setattr(subspaces_module, "_as_fraction", refuse)
+    for s in range(1, 8):
+        for seed in range(5):
+            random_change(s, seed, bound=1 + 99 * (seed % 2))
+    for s, change in as_fractions.items():
+        drawn = random_change(s, 1)
+        assert drawn == change and hash(drawn) == hash(change) and repr(drawn) == repr(change)
+        assert all(type(v) is int for row in drawn.matrix for v in row)
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)

@@ -63,7 +63,7 @@ def _assert_grown_equals_scratch(gens, dmax, order, s, prime):
     for d, piece in pieces.items():
         assert piece == scratch_ideal_graded_piece(gens, d, order, s, prime), (order, d, prime)
     # a standalone read grows its own echelon from the lowest generator degree
-    assert ideal_graded_piece(gens, dmax, order, s, prime) == pieces[dmax]
+    assert ideal_graded_piece(gens, dmax, order, s, RowEchelon(None, prime=prime)) == pieces[dmax]
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)
@@ -94,7 +94,7 @@ def test_zero_generators_change_no_piece(order):
         _assert_grown_equals_scratch(with_zeros, 5, order, 3, prime)
         for d in range(1, 6):
             want = scratch_ideal_graded_piece(gens, d, order, 3, prime)
-            assert ideal_graded_piece(with_zeros, d, order, 3, prime) == want
+            assert ideal_graded_piece(with_zeros, d, order, 3, RowEchelon(None, prime=prime)) == want
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)
@@ -178,7 +178,7 @@ def test_a_failed_zero_test_keeps_its_residual(monkeypatch):
     one test reduces to zero."""
     gens = _fixture()
     echelon = RowEchelon(None, prime=PRIME)
-    below = [ideal_graded_piece(gens, d, LEX, 4, PRIME, echelon) for d in (2, 3)][-1]
+    below = [ideal_graded_piece(gens, d, LEX, 4, echelon) for d in (2, 3)][-1]
     added = []
     add = RowEchelon.add
 
@@ -187,7 +187,7 @@ def test_a_failed_zero_test_keeps_its_residual(monkeypatch):
         return added[-1]
 
     monkeypatch.setattr(RowEchelon, "add", recording)
-    piece = ideal_graded_piece(gens, 4, LEX, 4, PRIME, echelon)
+    piece = ideal_graded_piece(gens, 4, LEX, 4, echelon)
     placed = {_times(m, j) for m in below.exps for j in range(_last(m), 4)}
     assert len(piece) > len(placed)
     assert added == [True] * (len(piece) - len(placed)) + [False]
@@ -200,11 +200,23 @@ def test_a_shared_echelon_is_grown_in_place():
     for prime in (None, PRIME):
         echelon = RowEchelon(None, prime=prime)
         for d in range(2, 6):
-            standalone = ideal_graded_piece(gens, d, REVLEX, 4, prime)
-            assert ideal_graded_piece(gens, d, REVLEX, 4, prime, echelon) == standalone
+            standalone = ideal_graded_piece(gens, d, REVLEX, 4, RowEchelon(None, prime=prime))
+            assert ideal_graded_piece(gens, d, REVLEX, 4, echelon) == standalone
             assert len(echelon.rows) == len(scratch_ideal_graded_piece(gens, d, REVLEX, 4, prime))
-    with pytest.raises(ValueError, match="different primes"):
-        ideal_graded_piece(gens, 2, REVLEX, 4, PRIME, RowEchelon(None))
+
+
+def test_an_empty_echelon_is_grown_from_the_lowest_generator_degree():
+    """An empty echelon passed above the lowest generator degree holds no rows of I_{d-1}, so
+    the piece is grown from that degree up, as a fresh read is: 3 generic quadrics in s=4
+    span 27 monomials of degree 4, exactly and modulo a prime."""
+    rng = random.Random(3)
+    gens = [random_form(rng, 4, 2, 100) for _ in range(3)]
+    for prime in (None, PRIME):
+        echelon = RowEchelon(None, prime=prime)
+        piece = ideal_graded_piece(gens, 4, REVLEX, 4, echelon=echelon)
+        assert len(piece) == len(echelon.rows) == 27
+        assert piece == initial_ideal_truncated(gens, 4, REVLEX, prime)[4]
+        assert piece == scratch_ideal_graded_piece(gens, 4, REVLEX, 4, prime)
 
 
 def _counted(monkeypatch):
