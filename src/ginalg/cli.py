@@ -10,7 +10,10 @@ Every call is a new process, so each pays only for its own subcommand: the
 parser holds that subcommand's subparser alone (all of them only for help
 and for an unknown command), and the handlers import `gin`, `factors`,
 `ideals` and `demo` in their own bodies.  An `in` call loads `cli`, `forms`
-and `subspaces`, and nothing else of the package.
+and `subspaces`, and nothing else of the package.  `main` freezes the
+collector once `run` returns, so the interpreter's last collections skip
+what the OS reclaims at exit; every file a handler writes is closed by its
+`with` before then.  `run` leaves the collector as it found it.
 
 A subspace or generators file is read straight into integer rows, one per
 form (`read_forms_file`), which the subspace commands take as they are;
@@ -20,6 +23,7 @@ only `gin-ideal` turns its rows into Forms, its generators.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -493,7 +497,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    status = run(sys.argv[1:])
+    # the process ends here: its last collections need not untangle what the OS reclaims
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

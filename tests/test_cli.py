@@ -1,10 +1,14 @@
 import argparse
+import gc
+import importlib
 import json
 import random
+import runpy
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -542,6 +546,51 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"gcd": "x1 + x2", "degree": 1}
+
+
+def test_run_leaves_the_collector_as_it_found_it(capsys, quadrics_file):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    for argv in (["gin", quadrics_file], ["ci-demo"], ["gcd", "--vars", "2", "x1"]):
+        invoke(capsys, argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled), argv
+
+
+def test_main_freezes_the_collector_only_after_run_returns(monkeypatch):
+    from ginalg import cli
+
+    seen = []
+
+    def recording(argv):
+        seen.append((argv, gc.get_freeze_count()))
+        return 2
+
+    monkeypatch.setattr(cli, "run", recording)
+    monkeypatch.setattr(sys, "argv", ["ginalg", "gin", "V.txt"])
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        after = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert exit_info.value.code == 2
+    assert seen == [(["gin", "V.txt"], before)]
+    assert after > before
+
+
+def test_both_entry_points_reach_main(monkeypatch):
+    from ginalg import cli
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.partition("[project.scripts]\n")[2].partition("\n[")[0]
+    name, equals, target = scripts.split()
+    module, _, attribute = target.strip('"').partition(":")
+    assert (name, equals) == ("ginalg", "=")
+    assert getattr(importlib.import_module(module), attribute) is cli.main
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main"))
+    runpy.run_module("ginalg", run_name="__main__")
+    assert calls == ["main"]
 
 
 def _subparsers(parser):

@@ -1,5 +1,8 @@
 """Golden CLI output: for each call below, the exit code and the sha256 of stdout, of
-stderr and of every file the call writes, pinned in fixtures/cli_golden.json.
+stderr and of every file the call writes, pinned in fixtures/cli_golden.json.  Every
+call is made in process through `run`; one call per subcommand, and the calls that
+write a file, fail on usage or end unstable, are also made as a `python -m ginalg`
+process, so the pins hold for what `main` writes on its way out too.
 
 The input files are drawn with `random.Random` and written by this file's own
 formatter, never through ginalg, so a change to the package cannot move them.  The
@@ -17,6 +20,7 @@ import hashlib
 import io
 import json
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -98,6 +102,8 @@ def _write_inputs(tmp: Path) -> None:
         "s=3\nx1^2*x2 - x2*x1*x1 + 2 * x1 * x1 * x2 - x3^3\n2*x2*x1*x1 + x2^3\nx1 * x1 * x2 + x1*x2*x3\n"
     )
     (tmp / "bad-variable.txt").write_text("s=3\nx1^2*x2 - x3^3\nx2*x1*x1 + x2^3\nx1^2*x2 + x1*x4^2\n")
+    # bound 1 draws that disagree at seed 0: an unstable gin
+    (tmp / "unstable.txt").write_text("s=3 d=2 order=revlex\nx1*x3 - x2^2\nx1^2 + x3^2\n")
     write("quadrics.txt", "s=4", [_random_poly(rng, 4, 2) for _ in range(3)])
     write("mixed-degrees.txt", "s=4", [_random_poly(rng, 4, 2), _random_poly(rng, 4, 3), _random_poly(rng, 4, 3)])
     write("one-quadric.txt", "s=3", [_random_poly(rng, 3, 2)])
@@ -124,6 +130,7 @@ CASES = [
     ("gin-dense-quintics", ["gin", "--seed", "6", "{tmp}/dense-quintics.txt"], False),
     ("gin-big-coefficients", ["gin", "--seed", "8", "{tmp}/big-coefficients.txt"], False),
     ("gin-lex-wide-bound", ["gin", "--order", "lex", "--bound", "1000000", "{tmp}/cubic.txt"], False),
+    ("gin-unstable", ["gin", "--seed", "0", "--bound", "1", "{tmp}/unstable.txt"], False),
     *[(f"gin-ideal-{o}", ["gin-ideal", "--order", o, "--dmax", "4", "--seed", "1", "{tmp}/gens.txt"], False)
       for o in ORDERS],
     ("gin-ideal-text", ["gin-ideal", "--text", "--dmax", "3", "{tmp}/gens.txt"], False),
@@ -205,27 +212,47 @@ CASES += [
 ]
 
 
+# one call per subcommand, then `--out`, a usage error, a bad value and an unstable gin
+PROCESS_CASES = [
+    "in-dense-revlex", "gin-cubic-revlex", "gin-ideal-revlex", "restrict-revlex", "factor-revlex",
+    "make-instance-text", "verify-planted", "probe-planted", "gcd", "hilbert", "borel", "colon",
+    "enumerate", "ci-demo",
+    "make-instance-out", "missing-argument", "enumerate-bad-hf", "gin-unstable",
+]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _pins(argv, exit_only: bool) -> dict:
+def _in_process(argv, cwd) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _in_a_process(argv, cwd) -> tuple[int, str, str]:
+    result = subprocess.run(
+        [sys.executable, "-m", "ginalg", *argv], capture_output=True, encoding="utf-8", timeout=120, cwd=cwd
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def _pins(argv, exit_only: bool, call=_in_process) -> dict:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         _write_inputs(tmp)
         for error, _, body, _ in _FILE_ERRORS:
             (tmp / f"{error}.txt").write_text(body)
         before = set(tmp.iterdir())
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = run([a.replace("{tmp}", name) for a in argv])
-            except SystemExit as exc:  # argparse's --help
-                code = exc.code
+        code, out, err = call([a.replace("{tmp}", name) for a in argv], tmp)
         if exit_only:
             return {"exit": code}
-        pins = {"exit": code, "stdout": _sha(out.getvalue().replace(name, "{tmp}")),
-                "stderr": _sha(err.getvalue().replace(name, "{tmp}"))}
+        pins = {"exit": code, "stdout": _sha(out.replace(name, "{tmp}")), "stderr": _sha(err.replace(name, "{tmp}"))}
         for path in sorted(set(tmp.iterdir()) - before):
             pins[f"file:{path.name}"] = _sha(path.read_text(encoding="utf-8").replace(name, "{tmp}"))
         return pins
@@ -243,6 +270,20 @@ def test_every_call_is_pinned():
 @pytest.mark.parametrize("name, argv, exit_only", CASES, ids=[name for name, _, _ in CASES])
 def test_cli_output_matches_its_pin(name, argv, exit_only):
     assert _pins(argv, exit_only) == _pinned()[name]
+
+
+def test_every_subcommand_has_a_process_call():
+    from ginalg.cli import COMMANDS
+
+    by_name = {name: argv for name, argv, _ in CASES}
+    assert set(PROCESS_CASES) <= set(by_name)
+    assert {by_name[name][0] for name in PROCESS_CASES} >= set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_cli_process_output_matches_its_pin(name):
+    argv, exit_only = next((argv, exit_only) for case, argv, exit_only in CASES if case == name)
+    assert _pins(argv, exit_only, _in_a_process) == _pinned()[name]
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """The package's promises: stdlib only at run time, source that Python 3.10 accepts,
 no runtime check written as `assert`, which `python -O` strips, no unused import,
-no class with ring operators, and a CLI call that loads only the modules its
-subcommand uses."""
+no class with ring operators, a CLI call that loads only the modules its
+subcommand uses, and an exit that may skip the last collections: every file
+opened for writing is closed by its `with`, and only `cli.main` touches `gc`."""
 
 import ast
 import subprocess
@@ -43,6 +44,68 @@ def test_no_class_defines_ring_operators():
         if isinstance(item, ast.FunctionDef) and item.name in operators
     ]
     assert found == []
+
+
+def _open_mode(call: ast.Call):
+    """The mode argument of an `open` call: the keyword, else the positional argument
+    after the path of the builtin or the first of a method such as `Path.open`; None
+    when the call gives none, which opens for reading."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    positional = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    return positional[0] if positional else None
+
+
+def test_every_file_opened_for_writing_is_a_with_item():
+    """`cli.main` freezes the collector before the process exits, so no written buffer may
+    wait on a finalizer to be flushed: each open with a mode that is not plainly a read
+    is the item of a `with`, which closes it before `run` returns."""
+    found, writes = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        with_items = {
+            id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With) for item in node.items
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name != "open":
+                continue
+            mode = _open_mode(node)
+            if mode is None or isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"):
+                continue
+            writes += 1
+            if id(node) not in with_items:
+                found.append(f"{path.name}:{node.lineno}")
+    assert writes and found == []
+
+
+def test_only_cli_main_reads_gc():
+    """The collector is the process's, shared with every in-process caller of `run`; only
+    `main`, where the process ends, may change it."""
+    found, reads_in_main = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside_main = {
+            id(child)
+            for node in tree.body
+            if path.name == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main"
+            for child in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "gc":
+                if id(node) in inside_main:
+                    reads_in_main += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno} gc")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append(f"{path.name}:{node.lineno} from gc import")
+            elif isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names):
+                if path.name != "cli.py" or any(alias.asname for alias in node.names if alias.name == "gc"):
+                    found.append(f"{path.name}:{node.lineno} import gc")
+    assert reads_in_main and found == []
 
 
 def _modules_loaded_by(code: str, *argv: str, cwd=None) -> set[str]:
