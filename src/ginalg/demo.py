@@ -12,7 +12,7 @@ from itertools import product
 from .forms import MIXED, REVLEX, Form, Record, format_form
 from .gin import gin_ideal_truncated, ideal_graded_piece, initial_ideal_truncated
 from .ideals import enumerate_gin_candidates, ideal_monomials_of_degree, parse_ideal
-from .subspaces import MonomialIdeal, RowEchelon, minimalize, random_form
+from .subspaces import RowEchelon, minimalize, random_form
 
 NUM_VARS = 4
 DMAX = 4
@@ -34,11 +34,6 @@ def is_three_quadric_ci(gens: list[Form]) -> bool:
     return len(gens) == 3 and all(g.degree == 2 and not g.is_zero() for g in gens) and _ideal_dims(gens) == CI_IDEAL_DIMS
 
 
-def truncated_initial_ideal(gens: list[Form], order: str) -> MonomialIdeal:
-    per_degree = initial_ideal_truncated(gens, DMAX, order)
-    return minimalize([e for ms in per_degree.values() for e in ms.exps], NUM_VARS)
-
-
 def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     """Bounded deterministic search for a complete intersection of three
     quadrics whose plain revlex initial ideal, truncated at degree 4, is J2.
@@ -49,8 +44,8 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
     in {-2..2} minus zero.  Candidates are rejected degree by degree
     against the target initial monomials, which also pins the Hilbert
     pattern; the complete-intersection check is confirmed on the hit.
-    One echelon per candidate is grown through degrees 2 to DMAX; degree 2
-    itself is not compared.
+    One echelon per candidate is grown through degrees 2 to DMAX, degree 2
+    by the first read, of degree 3, and not compared.
     Returns (triple, candidates_examined) or None.
     """
     heads = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)]  # x1^2, x1*x2, x1*x3
@@ -72,7 +67,6 @@ def search_j2_revlex_witness() -> tuple[list[Form], int] | None:
             examined += 1
             gens = [Form(NUM_VARS, 2, {head: 1, tail: c}) for head, tail, c in zip(heads, tail_choice, coeff_choice)]
             echelon = RowEchelon(None)
-            ideal_graded_piece(gens, 2, REVLEX, NUM_VARS, echelon=echelon)
             ok = all(
                 ideal_graded_piece(gens, d, REVLEX, NUM_VARS, echelon=echelon).exps == target[d]
                 for d in range(3, DMAX + 1)
@@ -127,7 +121,9 @@ def ci_quadrics_demo(seed: int = 0, trials: int = 3, bound: int = 100) -> DemoRe
     quadrics = [random_form(rng, NUM_VARS, 2, bound) for _ in range(3)]
     steps: list[DemoStep] = []
 
-    dims = _ideal_dims(quadrics)
+    # dim I_d does not depend on the order, so step (a) reads the pieces of step (c)
+    mixed = initial_ideal_truncated(quadrics, DMAX, MIXED)
+    dims = {d: len(piece) for d, piece in mixed.items()}
     steps.append(
         DemoStep(
             "complete-intersection Hilbert pattern",
@@ -145,7 +141,7 @@ def ci_quadrics_demo(seed: int = 0, trials: int = 3, bound: int = 100) -> DemoRe
         )
     )
 
-    mixed_ideal = truncated_initial_ideal(quadrics, MIXED)
+    mixed_ideal = minimalize([e for piece in mixed.values() for e in piece.exps], NUM_VARS)
     steps.append(
         DemoStep(
             "mixed-order in = J2",

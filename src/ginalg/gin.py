@@ -17,8 +17,8 @@ A[u, m](g) = (u!/m!) A[m, u](g^T) for A = Sym^d(g): every transposed
 monomial image T_m is a list mod p over the positions of its degree, built
 from T_{m/x_j}, x_j the last variable of m, whose column is the shortest.  The rows are packed
 across once per `gin` call, into one big integer per position, slot r
-holding row r's entry (`_scan_after_changes`, which takes all the trials'
-changes and primes at once), so each column is one dot product of those
+holding row r's entry (`_scan_after_changes`, which then pulls the trials'
+changes and primes one at a time), so each column is one dot product of those
 integers with the image, whose slots are row r's entries of the column.
 The scan stops at the dim V-th independent column.  A trial of an
 ideal grows each degree's piece from the one below (`ideal_graded_piece`):
@@ -50,7 +50,7 @@ import random
 from functools import cache
 from math import comb, factorial, prod
 from operator import mul
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .forms import REVLEX, Exponent, Form, Record, Row, apply_change, check_monomial_count, integer_row, monomial_key, monomial_positions
 from .subspaces import (
@@ -66,9 +66,11 @@ from .subspaces import (
 TRUNCATION_NOTE = "generators above dmax are not detected"
 
 # the first 9 primes; as Miller-Rabin bases they decide primality exactly below _PSI_9,
-# the least strong pseudoprime to all of them (Jaeschke 1993), which exceeds every trial prime
+# the least strong pseudoprime to all of them (Jaeschke 1993), which exceeds every trial prime;
+# each trial prime has _PRIME_BITS bits (random_prime), so a gin call's packing precedes its draws
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 _PSI_9 = 3825123056546413051
+_PRIME_BITS = 61
 
 # largest graded piece for initial_ideal_truncated (gin_ideal_truncated of 3 generic quadrics,
 # 3 trials, mod p, in process on a 2-vCPU VM, median of 5: s=5 d=5, 126 monomials, 0.019 s; s=5
@@ -144,7 +146,7 @@ def random_prime(seed: int) -> int:
     the range are drawn from a stream of the seed's own until one is prime."""
     rng = random.Random(f"prime:{seed}")
     while True:
-        n = rng.randrange(2**60 + 1, 2**61, 2)
+        n = rng.randrange(2 ** (_PRIME_BITS - 1) + 1, 2**_PRIME_BITS, 2)
         if is_prime(n):
             return n
 
@@ -190,8 +192,14 @@ def initial_after_change(
     allowed: initial_subspace(transform_subspace(V, change)), read from the columns of the
     moved rows without building them; with a prime, all is reduced modulo it, and the
     pivots are at most the exact ones.  Refused past MAX_SCAN_MONOMIALS monomials of
-    degree at most d, which the scan would tabulate."""
-    return _scan_after_changes(rows, num_vars, degree, order, [(change, prime)])[0]
+    degree at most d, which the scan would tabulate.  The scan's image bits are bits(p)
+    modulo the prime, which reduces each T_m.  Exactly, T_m is a product of d columns of the
+    transposed change, and the l1 norm of a product is at most the product of the factors'
+    l1 norms, so its coefficients are at most L^d <= 2^(d * bits(L)), L the largest l1 norm
+    of a column of the change's integer images: image bits are d * bits(L)."""
+    norm = change.denominator * max(sum(map(abs, column)) for column in zip(*change.matrix))
+    image_bits = prime.bit_length() if prime else degree * int(norm).bit_length()
+    return next(_scan_after_changes(rows, num_vars, degree, order, [(change, prime)], image_bits))
 
 
 def _scan_after_changes(
@@ -199,10 +207,12 @@ def _scan_after_changes(
     num_vars: int,
     degree: int,
     order: str,
-    draws: list[tuple[CoordinateChange, int | None]],
-) -> list[MonomialSet]:
-    """initial_after_change of the rows for each (change, prime) of draws.  The rows are
-    weighted and packed once for all the draws, so the trials of one gin share them.
+    draws: Iterable[tuple[CoordinateChange, int | None]],
+    image_bits: int,
+) -> Iterator[MonomialSet]:
+    """initial_after_change of the rows for each (change, prime) of draws, scanned as it is
+    pulled.  The rows are weighted and packed once, before the first draw, for the images
+    T_m of every draw, whose coefficients have at most image_bits bits (initial_after_change).
 
     With A = Sym^d(g) the moved rows are R*A.  Expanding (x^T g y)^d in x and in y gives
     A[u, m](g) = (u!/m!) * A[m, u](g^T), where u! is the product of the u_i!.  So column m
@@ -225,12 +235,7 @@ def _scan_after_changes(
     borrows from the next one and the added half pays it back.  An entry is at most
     |support| * max|entry| * max|T_m| < 2^(bits(|support|) + entry bits + image bits) in
     absolute value, so width is the least number of bytes with
-    8 width >= entry bits + image bits + bits(|support|) + 1 sign bit,
-    image bits the largest over the draws, so one packing serves them all.
-    Modulo the prime each T_m is reduced, so image bits are bits(p).  Exactly, T_m is a
-    product of d columns of the transposed change, and the l1 norm of a product is at most
-    the product of the factors' l1 norms, so its coefficients are at most
-    L^d <= 2^(d * bits(L)), L the largest l1 norm of a column: image bits are d * bits(L).
+    8 width >= entry bits + image bits + bits(|support|) + 1 sign bit.
     The rows' entries are packed unreduced, since RowEchelon reduces each column modulo
     the prime on entry.  A zero sum is a zero column, which is dependent.
     """
@@ -239,24 +244,9 @@ def _scan_after_changes(
     weights = _factorial_weights(order, num_vars, degree)
     # each nonzero row keyed by the positions of its monomials u, its entries times u!
     weighted = [{(i := positions[u]): c * weights[i] for u, c in row.items()} for row in rows if row]
-    for change, _ in draws:
-        if num_vars != change.num_vars:
-            raise ValueError("rows and coordinate change over different variable counts")
-    if not weighted:
-        return [MonomialSet(num_vars, degree, frozenset()) for _ in draws]
-    # column j of each change: (i, c) for each c * x_j in the image of x_i, i ascending
-    transposed = [[[] for _ in range(num_vars)] for _ in draws]
-    for columns, (change, _) in zip(transposed, draws):
-        for i, image in enumerate(change.images):
-            for j, c in image:
-                columns[j].append((i, c))
     # the packed integers, keyed by the positions of the union of the rows' supports
     packed = dict.fromkeys((i for row in weighted for i in row), 0)
-    entry_bits = max(abs(c) for row in weighted for c in row.values()).bit_length()
-    image_bits = max(
-        prime.bit_length() if prime else degree * max(sum(abs(c) for _, c in column) for column in t).bit_length()
-        for t, (_, prime) in zip(transposed, draws)
-    )
+    entry_bits = max((abs(c) for row in weighted for c in row.values()), default=0).bit_length()
     width = (entry_bits + image_bits + len(packed).bit_length() + 8) // 8
     half, nbytes = 1 << (8 * width - 1), width * len(weighted)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(weighted), "little")
@@ -292,6 +282,8 @@ def _scan_after_changes(
         pivots: list[Exponent] = []
         rank = None
         for m, i in positions.items():
+            if len(pivots) == (len(weighted) if rank is None else rank):
+                break
             total = sum(map(mul, packed.values(), map(image_of(degree, i).__getitem__, packed)))
             column = {}
             if total:
@@ -303,11 +295,17 @@ def _scan_after_changes(
             elif rank is None:
                 # a dependent column: the rows may be dependent too, and their rank bounds the pivots
                 rank = len(RowEchelon(None, weighted, prime).rows)
-            if len(pivots) == (len(weighted) if rank is None else rank):
-                break
         return MonomialSet(num_vars, degree, frozenset(pivots))
 
-    return [scan(t, prime) for t, (_, prime) in zip(transposed, draws)]
+    for change, prime in draws:
+        if num_vars != change.num_vars:
+            raise ValueError("rows and coordinate change over different variable counts")
+        # column j of the change: (i, c) for each c * x_j in the image of x_i, i ascending
+        columns_of = [[] for _ in range(num_vars)]
+        for i, image in enumerate(change.images):
+            for j, c in image:
+                columns_of[j].append((i, c))
+        yield scan(columns_of, prime)
 
 
 def gin_subspace(
@@ -325,10 +323,9 @@ def gin_subspace(
     Each trial computes only the pivots of the moved subspace, from its columns through
     the transposed change, modulo the trial's prime; the moved rows are never built.
     """
-    check_monomial_count(num_vars, degree, MAX_SCAN_MONOMIALS)  # before the draws, each O(s^2)
     seeds = _trial_seeds(seed, trials)
-    draws = [(random_change(num_vars, ts, bound), random_prime(ts)) for ts in seeds]
-    return _report(_scan_after_changes(rows, num_vars, degree, order, draws), order, seeds)
+    draws = ((random_change(num_vars, ts, bound), random_prime(ts)) for ts in seeds)
+    return _report(list(_scan_after_changes(rows, num_vars, degree, order, draws, _PRIME_BITS)), order, seeds)
 
 
 def _grow(echelon: RowEchelon, gens: list[Form], degree: int, order: str, num_vars: int) -> None:

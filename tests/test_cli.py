@@ -249,6 +249,44 @@ def _ginalg(argv):
     )
 
 
+# Linux keeps the high-water mark of the memory a process replaces at exec, so a child
+# spawned by pytest would read pytest's resident set as its own floor.  This launcher is a
+# fresh interpreter of a few MiB: it spawns the call, caps its CPU time so a call that never
+# ends fails the test, and reports the call's own rusage and exit code on its stderr.
+_PEAK_RSS_LAUNCHER = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+argv = [sys.executable, "-m", "ginalg", *sys.argv[1:]]
+quiet = [(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet), 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
+"""
+
+
+def _peak_rss_kib(argv, stdout=subprocess.DEVNULL):
+    """Peak resident set size in KiB of one `python -m ginalg` call, read from that child's
+    own rusage: RUSAGE_CHILDREN holds the largest over every child waited for."""
+    launcher = [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv]
+    peak, code = map(int, subprocess.run(launcher, stdout=stdout, stderr=subprocess.PIPE, check=True).stderr.split())
+    assert code == 0
+    return peak
+
+
+def test_a_gin_call_holds_one_change_at_a_time(tmp_path):
+    """Each trial's change is drawn as the scan pulls it, so the peak memory of `gin` does
+    not grow with --trials: at s=100 every change has 100 x 100 entries, and holding all of
+    them made --trials 100 peak about 90 MiB above --trials 3."""
+    path = tmp_path / "V.txt"
+    path.write_text("s=100 d=1\nx1\n")
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    peaks = []
+    for out in outs:
+        with out.open("w") as stdout:
+            peaks.append(_peak_rss_kib(["gin", "--trials", "100", str(path)], stdout))
+    assert outs[0].read_bytes() == outs[1].read_bytes() != b""
+    assert max(peaks) <= _peak_rss_kib(["gin", "--trials", "3", str(path)]) + 8 * 1024
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_bounds_below_one_exit_three(quadrics_file, bound):
     commands = [

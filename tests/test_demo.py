@@ -1,7 +1,7 @@
 from pathlib import Path
 
-from ginalg import REVLEX, Form, ci_quadrics_demo, parse_form, search_j2_revlex_witness
-from ginalg.demo import J2, is_three_quadric_ci, truncated_initial_ideal
+from ginalg import REVLEX, Form, ci_quadrics_demo, initial_ideal_truncated, minimalize, parse_form, search_j2_revlex_witness
+from ginalg.demo import DMAX, J2, NUM_VARS, is_three_quadric_ci
 
 FIXTURE = Path(__file__).parent / "fixtures" / "j2_revlex_witness.txt"
 
@@ -20,7 +20,8 @@ def test_golden_witness_reverifies():
     gens = load_fixture()
     assert len(gens) == 3
     assert is_three_quadric_ci(gens)
-    assert truncated_initial_ideal(gens, REVLEX) == J2
+    pieces = initial_ideal_truncated(gens, DMAX, REVLEX)
+    assert minimalize([e for piece in pieces.values() for e in piece.exps], NUM_VARS) == J2
 
 
 def test_search_finds_the_golden_witness():

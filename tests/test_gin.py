@@ -32,6 +32,7 @@ from ginalg import (
 from ginalg import gin as gin_module
 from ginalg import subspaces as subspaces_module
 from ginalg.forms import ORDER_NAMES
+from ginalg.gin import random_prime
 from ginalg.ideals import colon_by_last_variable
 from oracles import spanning_args
 
@@ -87,6 +88,33 @@ def test_a_drawn_change_converts_no_entry_to_a_fraction(monkeypatch):
         drawn = random_change(s, 1)
         assert drawn == change and hash(drawn) == hash(change) and repr(drawn) == repr(change)
         assert all(type(v) is int for row in drawn.matrix for v in row)
+
+
+def test_each_trial_is_scanned_as_it_is_drawn(monkeypatch):
+    """A gin call holds one change at a time: it draws a trial's change only once the scan
+    of the trial before has ended, in one MonomialSet."""
+    events = []
+    draw, outcome = gin_module.random_change, gin_module.MonomialSet
+
+    def logged_draw(*args):
+        events.append("draw")
+        return draw(*args)
+
+    def logged_outcome(*args):
+        events.append("scan")
+        return outcome(*args)
+
+    monkeypatch.setattr(gin_module, "random_change", logged_draw)
+    monkeypatch.setattr(gin_module, "MonomialSet", logged_outcome)
+    rows = [{(2, 0, 0): 1, (0, 1, 1): 1}, {(0, 2, 0): 1, (0, 0, 2): -1}]
+    report = gin_subspace(rows, 3, 2, REVLEX, trials=3, seed=1)
+    assert events == ["draw", "scan"] * 3
+    assert report.trials == 3
+
+
+def test_every_trial_prime_has_the_packed_bit_count():
+    """gin_subspace packs its rows for images of _PRIME_BITS bits before any prime is drawn."""
+    assert {random_prime(seed).bit_length() for seed in range(200)} == {gin_module._PRIME_BITS}
 
 
 @pytest.mark.parametrize("order", ORDER_NAMES)
@@ -244,8 +272,12 @@ def test_gin_ideal_dmax_too_small():
             lambda: initial_after_change([{(2, 0, 0): 1}], 3, 2, REVLEX, CoordinateChange([[1, 0], [1, 1]])),
             "rows and coordinate change over different variable counts",
         ),
+        (
+            lambda: initial_after_change([{}], 3, 2, REVLEX, CoordinateChange([[1, 0], [1, 1]])),
+            "rows and coordinate change over different variable counts",
+        ),
     ],
-    ids=["gin-ideal-zero", "initial-ideal-zero", "change-of-other-variables"],
+    ids=["gin-ideal-zero", "initial-ideal-zero", "change-of-other-variables", "zero-rows-change-of-other-variables"],
 )
 def test_unusable_arguments_are_refused(call, message):
     with pytest.raises(ValueError) as info:

@@ -370,10 +370,11 @@ def test_packed_column_scan_matches_the_column_oracle():
 
 
 def test_one_packing_serves_draws_of_different_widths():
-    """A batch of draws shares one packing, its slot width set by the widest draw: here
-    prime 3, then a 61-bit prime, then an exact non-triangular change with fractional
-    entries, whose l1 norms need the widest slots.  Draw by draw, the batch gives the
-    pivots of that draw scanned alone and the column oracle's."""
+    """A batch of draws shares one packing, its slot width set by the image bits of the
+    widest draw, which the caller passes: here prime 3, then a 61-bit prime, then an exact
+    non-triangular change with fractional entries, whose l1 norms need the widest slots.
+    Draw by draw, the batch gives the pivots of that draw scanned alone and the column
+    oracle's."""
     s, d, order = 3, 5, REVLEX
     rng = random.Random(26)
     monomials = monomials_of_degree(s, d)
@@ -381,7 +382,11 @@ def test_one_packing_serves_draws_of_different_widths():
     rows.append({e: rows[0].get(e, 0) - 2 * rows[1].get(e, 0) for e in monomials})
     exact = CoordinateChange([[Fraction(3, 2), -40, Fraction(7, 997)], [25, Fraction(-1, 991), 60], [Fraction(-9, 7), 33, 5]])
     draws = [(random_change(s, 1), 3), (random_change(s, 2), random_prime(0)), (exact, None)]
-    batch = gin_module._scan_after_changes(rows, s, d, order, draws)
+    # d * bits(L), L the largest l1 norm of a column of the exact change's integer images
+    norm = exact.denominator * max(sum(map(abs, column)) for column in zip(*exact.matrix))
+    widest = d * int(norm).bit_length()
+    assert widest > random_prime(0).bit_length()
+    batch = list(gin_module._scan_after_changes(rows, s, d, order, draws, widest))
     assert len(batch) == len(draws)
     for got, (change, prime) in zip(batch, draws):
         assert got == initial_after_change(rows, s, d, order, change, prime)
